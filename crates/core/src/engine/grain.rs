@@ -46,7 +46,7 @@ mod tests {
 
     #[test]
     fn single_thread_is_always_inline() {
-        rayon::run_sequential(|| {
+        rayon::ThreadPool::new(1).install(|| {
             assert_eq!(sequential_cutoff(), usize::MAX);
             assert!(!parallel_round(usize::MAX - 1));
         });
@@ -54,15 +54,15 @@ mod tests {
 
     #[test]
     fn cutoff_scales_with_installed_width_up_to_the_clamp() {
-        let narrow = rayon::cached_pool(2).install(sequential_cutoff);
-        let wide = rayon::cached_pool(8).install(sequential_cutoff);
+        let narrow = rayon::ThreadPool::new(2).install(sequential_cutoff);
+        let wide = rayon::ThreadPool::new(8).install(sequential_cutoff);
         assert!(narrow >= rayon::MIN_PAR_LEN);
         assert!(wide >= narrow, "wider pools need larger rounds to pay off");
         assert!(
             wide <= MAX_SEQUENTIAL_CUTOFF,
             "the clamp bounds serialisation at any width"
         );
-        assert!(rayon::cached_pool(8).install(|| parallel_round(wide)));
-        assert!(!rayon::cached_pool(8).install(|| parallel_round(wide - 1)));
+        assert!(rayon::ThreadPool::new(8).install(|| parallel_round(wide)));
+        assert!(!rayon::ThreadPool::new(8).install(|| parallel_round(wide - 1)));
     }
 }

@@ -4,8 +4,8 @@
 //! algorithms, and a single execution record:
 //!
 //! * [`RunConfig`] — seed, [`ExecMode`], worker threads, instrumentation;
-//! * [`Runner`] — executes any [`Executable`] under a config inside a
-//!   scoped thread pool;
+//! * [`Runner`] — executes any [`Executable`] under a config with its
+//!   thread count installed as the ambient parallel width;
 //! * [`Type1Adapter`] / [`Type2Adapter`] / [`Type3Adapter`] — make every
 //!   algorithm written against the `Type1Algorithm` / `Type2Algorithm` /
 //!   `Type3Algorithm` traits executable through `Runner::run`;

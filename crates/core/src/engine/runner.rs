@@ -2,14 +2,12 @@
 //!
 //! [`RunConfig`] fixes everything that varies between runs — RNG seed,
 //! [`ExecMode`], worker-thread count, instrumentation — and
-//! [`Runner::run`] executes any [`Executable`] under it inside a
-//! **persistent, process-wide cached thread pool** keyed by the resolved
-//! thread count: the first run at a given width spawns the pool's workers,
-//! every later run (and every round inside a run) reuses them, so a batch
-//! of `ri` requests pays for thread creation once. Sequential-mode runs
-//! and `threads == 1` configs bypass the pool entirely and execute inline
-//! on the caller with ambient parallelism pinned to 1 — their reports
-//! carry zero scheduler overhead. The three per-class adapters
+//! [`Runner::run`] executes any [`Executable`] under it with the resolved
+//! thread count installed as the ambient width: each parallel region
+//! inside the run forms a crew of scoped helpers of that width, and no
+//! threads outlive the run. Sequential-mode runs and `threads == 1`
+//! configs install width 1 and execute inline on the caller — their
+//! reports carry zero scheduler overhead. The three per-class adapters
 //! ([`Type1Adapter`], [`Type2Adapter`], [`Type3Adapter`]) make every
 //! algorithm written against the paper's `Type1Algorithm` /
 //! `Type2Algorithm` / `Type3Algorithm` traits executable through this one
@@ -303,7 +301,7 @@ pub trait Executable {
         "algorithm"
     }
 
-    /// Execute under `cfg` (already inside the runner's thread pool) and
+    /// Execute under `cfg` (already under the runner's installed width) and
     /// fill a report. Implementations should honour `cfg.mode` and
     /// `cfg.instrument`; threads and wall time are stamped by the runner.
     fn execute(&mut self, cfg: &RunConfig) -> RunReport;
@@ -320,8 +318,8 @@ pub trait Problem {
     fn solve(&self, cfg: &RunConfig) -> (Self::Output, RunReport);
 }
 
-/// The engine facade: executes algorithms under a [`RunConfig`] inside a
-/// scoped thread pool.
+/// The engine facade: executes algorithms under a [`RunConfig`] with its
+/// thread count installed as the ambient width.
 #[derive(Debug, Clone)]
 pub struct Runner {
     cfg: RunConfig,
@@ -333,22 +331,20 @@ impl Runner {
         Runner { cfg }
     }
 
-    /// Eagerly build (or fetch) the cached persistent pool for `threads`
-    /// workers (`0` means the machine default). This replaces the old
-    /// first-call-wins `install_global`: pool width is now **explicit
-    /// per-caller config**, so two serving tiers in one process — or N
-    /// router-spawned backend processes — can each pin their own width
-    /// (pools are cached per width and shared by everyone who asks for
-    /// that width). Callers that want every solve clamped to a fixed
-    /// width set `config.threads` on each request; nothing is decided by
-    /// process-global state.
-    pub fn pool(threads: usize) -> std::sync::Arc<rayon::ThreadPool> {
+    /// The width token for `threads` workers (`0` means the ambient
+    /// width, which defaults to the machine's parallelism). Width is
+    /// explicit per-caller config: two serving tiers in one process — or
+    /// N router-spawned backend processes — can each pin their own, and
+    /// nothing is decided by process-global state. Callers that want
+    /// every solve clamped to a fixed width set `config.threads` on each
+    /// request.
+    pub fn pool(threads: usize) -> rayon::ThreadPool {
         let width = if threads == 0 {
             rayon::current_num_threads()
         } else {
             threads
         };
-        rayon::cached_pool(width.max(1))
+        rayon::ThreadPool::new(width)
     }
 
     /// The configuration this runner applies.
@@ -357,21 +353,17 @@ impl Runner {
     }
 
     /// Run `op` under this runner's parallelism (for specialised
-    /// algorithms that drive their own parallelism): inside the cached
-    /// persistent pool for its thread count, or strictly inline when the
-    /// config resolves to one worker (sequential mode or `threads == 1`),
+    /// algorithms that drive their own parallelism): its resolved thread
+    /// count becomes the ambient width. A config that resolves to one
+    /// worker (sequential mode or `threads == 1`) runs strictly inline,
     /// so sequential reports carry zero scheduler overhead.
     pub fn install<R>(&self, op: impl FnOnce() -> R) -> R {
-        let threads = self.cfg.resolved_threads();
-        if threads <= 1 {
-            return rayon::run_sequential(op);
-        }
-        rayon::cached_pool(threads).install(op)
+        rayon::ThreadPool::new(self.cfg.resolved_threads()).install(op)
     }
 
-    /// Execute `algo` under this runner's config: scope the thread pool,
-    /// run, and stamp name/mode/threads/wall time — plus the scratch and
-    /// region counters measured by the runner's [`RoundScratch`]
+    /// Execute `algo` under this runner's config: install its width, run,
+    /// and stamp name/mode/threads/wall time — plus the scratch and region
+    /// counters measured by the runner's [`RoundScratch`]
     /// workspace — on the report. The scratch/region deltas are measured
     /// on the calling thread, which is where the executors' round loops
     /// (and their reused buffers) live.

@@ -86,7 +86,7 @@ impl Type3Algorithm for MinToy {
 /// `rayon::MIN_PAR_LEN`) but the engine's round cutoff keeps inline at
 /// width 4 — proving the cutoff, not the combinator floor, is in charge.
 fn between_floor_and_cutoff() -> usize {
-    let cutoff = rayon::cached_pool(4).install(grain::sequential_cutoff);
+    let cutoff = rayon::ThreadPool::new(4).install(grain::sequential_cutoff);
     assert!(
         cutoff > rayon::MIN_PAR_LEN,
         "cutoff {cutoff} must exceed the combinator floor"
@@ -98,7 +98,7 @@ fn between_floor_and_cutoff() -> usize {
 fn type1_small_rounds_stay_inline() {
     let n = between_floor_and_cutoff();
     let mut algo = Independent::new(n);
-    rayon::cached_pool(4).install(|| {
+    rayon::ThreadPool::new(4).install(|| {
         let before = counters();
         let report = execute_type1(&mut algo, &RunConfig::new().parallel());
         assert_eq!(report.total_items(), n);
@@ -108,9 +108,9 @@ fn type1_small_rounds_stay_inline() {
 
 #[test]
 fn type1_large_rounds_go_parallel() {
-    let n = 8 * rayon::cached_pool(4).install(grain::sequential_cutoff);
+    let n = 8 * rayon::ThreadPool::new(4).install(grain::sequential_cutoff);
     let mut algo = Independent::new(n);
-    rayon::cached_pool(4).install(|| {
+    rayon::ThreadPool::new(4).install(|| {
         let (regions0, helpers0) = counters();
         execute_type1(&mut algo, &RunConfig::new().parallel());
         let (regions1, helpers1) = counters();
@@ -126,7 +126,7 @@ fn type2_small_prefixes_stay_inline() {
         n,
         seen: AtomicU64::new(0),
     };
-    rayon::cached_pool(4).install(|| {
+    rayon::ThreadPool::new(4).install(|| {
         let before = counters();
         let report = execute_type2(&mut algo, &RunConfig::new().parallel());
         assert_eq!(report.items, n);
@@ -136,12 +136,12 @@ fn type2_small_prefixes_stay_inline() {
 
 #[test]
 fn type2_large_prefixes_go_parallel() {
-    let n = 8 * rayon::cached_pool(4).install(grain::sequential_cutoff);
+    let n = 8 * rayon::ThreadPool::new(4).install(grain::sequential_cutoff);
     let mut algo = OneSpecial {
         n,
         seen: AtomicU64::new(0),
     };
-    rayon::cached_pool(4).install(|| {
+    rayon::ThreadPool::new(4).install(|| {
         let (regions0, _) = counters();
         execute_type2(&mut algo, &RunConfig::new().parallel());
         assert!(rayon::crew_regions() > regions0);
@@ -155,19 +155,19 @@ fn type3_small_rounds_stay_inline_and_large_do_not() {
         values: (0..small as u64).rev().collect(),
         current: u64::MAX,
     };
-    rayon::cached_pool(4).install(|| {
+    rayon::ThreadPool::new(4).install(|| {
         let before = counters();
         execute_type3(&mut algo, &RunConfig::new().parallel());
         assert_eq!(counters(), before, "sub-cutoff rounds must spawn nothing");
     });
     assert_eq!(algo.current, 0);
 
-    let large = 8 * rayon::cached_pool(4).install(grain::sequential_cutoff);
+    let large = 8 * rayon::ThreadPool::new(4).install(grain::sequential_cutoff);
     let mut algo = MinToy {
         values: (0..large as u64).rev().collect(),
         current: u64::MAX,
     };
-    rayon::cached_pool(4).install(|| {
+    rayon::ThreadPool::new(4).install(|| {
         let (regions0, _) = counters();
         execute_type3(&mut algo, &RunConfig::new().parallel());
         assert!(rayon::crew_regions() > regions0);
@@ -181,7 +181,7 @@ fn one_thread_runs_are_always_inline() {
     // the caller with zero scheduler involvement.
     let n = 100_000;
     let mut algo = Independent::new(n);
-    rayon::run_sequential(|| {
+    rayon::ThreadPool::new(1).install(|| {
         assert_eq!(grain::sequential_cutoff(), usize::MAX);
         let before = counters();
         execute_type1(&mut algo, &RunConfig::new().parallel());

@@ -3,7 +3,7 @@
 //! The paper analyses its algorithms on the CRCW PRAM in the *work-depth*
 //! model. This crate is the shared-memory substrate standing in for that
 //! model: every primitive the seven algorithms rely on is implemented here on
-//! top of [`rayon`]'s work-stealing scheduler and `std::sync::atomic`.
+//! top of [`rayon`]'s scoped crews and fork–join, plus `std::sync::atomic`.
 //!
 //! Provided primitives and their PRAM counterparts:
 //!

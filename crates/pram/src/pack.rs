@@ -125,7 +125,7 @@ mod tests {
     fn pack_large_parallel_path() {
         let items: Vec<u64> = (0..200_000).collect();
         let flags: Vec<bool> = items.iter().map(|&x| x % 7 == 0).collect();
-        let got = rayon::cached_pool(4).install(|| pack(&items, &flags));
+        let got = rayon::ThreadPool::new(4).install(|| pack(&items, &flags));
         let want: Vec<u64> = items.iter().copied().filter(|&x| x % 7 == 0).collect();
         assert_eq!(got, want);
     }
@@ -148,7 +148,7 @@ mod tests {
     #[test]
     fn pack_indices_matches_filter() {
         let n = 100_000;
-        let got = rayon::cached_pool(4).install(|| pack_indices_where(n, |i| i % 13 == 5));
+        let got = rayon::ThreadPool::new(4).install(|| pack_indices_where(n, |i| i % 13 == 5));
         let want: Vec<usize> = (0..n).filter(|&i| i % 13 == 5).collect();
         assert_eq!(got, want);
     }

@@ -154,7 +154,7 @@ mod tests {
             .collect();
         let mut want = v.clone();
         want.sort_unstable();
-        rayon::cached_pool(4).install(|| radix_sort_u64(&mut v));
+        rayon::ThreadPool::new(4).install(|| radix_sort_u64(&mut v));
         assert_eq!(v, want);
     }
 
@@ -177,7 +177,7 @@ mod tests {
     fn stability_preserved_under_installed_pool() {
         let n = 100_000usize;
         let mut v: Vec<(u64, usize)> = (0..n).map(|i| ((i % 5) as u64, i)).collect();
-        rayon::cached_pool(4).install(|| radix_sort_by_key(&mut v, |&(k, _)| k));
+        rayon::ThreadPool::new(4).install(|| radix_sort_by_key(&mut v, |&(k, _)| k));
         for w in v.windows(2) {
             assert!(w[0].0 <= w[1].0);
             if w[0].0 == w[1].0 {

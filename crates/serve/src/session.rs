@@ -9,8 +9,7 @@
 //! keeps its connection alive, so consecutive batches land on the same
 //! thread and reuse its warm per-thread `RoundScratch` pools — the
 //! long-lived-runner shape the ROADMAP's streaming item asks for (the
-//! solve pool itself is the server-wide shared one; width is clamped at
-//! open).
+//! solve width is the server-wide one, clamped at open).
 //!
 //! Bounds, all enforced here:
 //! * `max_sessions` — admission: opening past the cap answers
@@ -57,7 +56,7 @@ impl Default for SessionConfig {
 }
 
 /// One open session: identity, the opening spec (config already clamped
-/// to the server pool), and the adapter state behind a mutex — batches
+/// to the server width), and the adapter state behind a mutex — batches
 /// within a session are serialized, sessions are independent.
 struct Session {
     id: String,

@@ -1,8 +1,8 @@
-//! Integration tests for the persistent thread pool underneath the engine:
-//! pool reuse across `Runner::run` calls, nested parallelism staying
-//! on-pool, panic propagation, spawn accounting, and property-based
-//! sequential-equivalence of every combinator under randomized stealing at
-//! 1–8 threads.
+//! Integration tests for the crew scheduler underneath the engine: region
+//! and spawn counts that repeat across `Runner::run` calls, nested
+//! parallelism keeping the installed width, panic propagation, spawn
+//! accounting, and property-based sequential-equivalence of every
+//! combinator under dynamic self-scheduling at 1–8 threads.
 
 use proptest::prelude::*;
 use rayon::prelude::*;
@@ -10,38 +10,38 @@ use ri_core::engine::{Problem, RunConfig, Runner};
 use ri_pram::random_permutation;
 use ri_sort::SortProblem;
 
-/// Two engine runs with the same thread count reuse one cached pool: the
-/// worker thread ids are identical and no new worker threads are spawned
-/// by the second run.
+/// Two width-3 engine runs of one instance are identical in everything
+/// the scheduler decides: the answer, how many crew regions the run
+/// started, and how many helper threads it spawned. Each region is a crew
+/// of at most 3 members (the caller plus 2 helpers), and the final
+/// in-order traversal is one `join` tree, which spawns at most 2 more.
 #[test]
-fn runner_runs_reuse_one_pool_with_stable_worker_ids() {
-    let keys = random_permutation(20_000, 5);
+fn width_three_runs_repeat_regions_and_spawns() {
+    let keys = random_permutation(50_000, 5);
     let problem = SortProblem::new(&keys);
     let cfg = RunConfig::new().parallel().threads(3);
 
-    let (first, _) = problem.solve(&cfg);
-    let pool_after_first = rayon::cached_pool(3);
-    let ids_after_first = pool_after_first.worker_ids();
-
-    let (second, _) = problem.solve(&cfg);
-    let pool_after_second = rayon::cached_pool(3);
+    let (first, first_report) = problem.solve(&cfg);
+    let (second, second_report) = problem.solve(&cfg);
 
     assert_eq!(first.sorted_indices, second.sorted_indices);
-    assert!(
-        std::sync::Arc::ptr_eq(&pool_after_first, &pool_after_second),
-        "both runs must resolve to one cached pool"
-    );
-    assert_eq!(
-        pool_after_second.worker_ids(),
-        ids_after_first,
-        "worker ids must be stable across runs"
-    );
-    assert_eq!(ids_after_first.len(), 3);
+    assert!(first_report.regions > 0, "the run must go parallel");
+    assert_eq!(first_report.regions, second_report.regions);
+    assert_eq!(first_report.helper_spawns, second_report.helper_spawns);
+    for report in [&first_report, &second_report] {
+        assert_eq!(report.threads, 3);
+        assert!(
+            report.helper_spawns <= report.regions * 2 + 2,
+            "{} spawns for {} regions at width 3",
+            report.helper_spawns,
+            report.regions
+        );
+    }
 }
 
 /// Parallel work started from inside an installed run — including from
-/// crew helper threads — sees the pool's width, not the machine default:
-/// nested parallelism stays sized by the pool.
+/// crew helper threads — sees the installed width, not the machine
+/// default: nested parallelism stays sized by the install.
 #[test]
 fn nested_parallelism_from_workers_stays_on_pool() {
     let runner = Runner::new(RunConfig::new().parallel().threads(5));
@@ -61,12 +61,12 @@ fn nested_parallelism_from_workers_stays_on_pool() {
     });
     assert!(
         widths.iter().all(|&w| w == 5),
-        "nested regions fell off-pool: {:?}",
+        "nested regions lost the installed width: {:?}",
         widths.iter().take(8).collect::<Vec<_>>()
     );
 }
 
-/// A `threads == 1` config must bypass the pool entirely: the whole run
+/// A `threads == 1` config must bypass the scheduler entirely: the whole run
 /// executes inline on this thread, spawning no helper threads (the
 /// helper-spawn counter is per-thread, so concurrent tests cannot
 /// perturb it).
@@ -113,22 +113,6 @@ fn panics_propagate_through_parallel_regions() {
     assert!(msg.contains("90123"), "payload lost: {msg:?}");
 }
 
-/// A panic in a `'static` job stolen by a pool worker is caught: the
-/// worker survives, the payload is kept, and later jobs still run.
-#[test]
-fn panics_in_stolen_pool_jobs_leave_the_pool_alive() {
-    let pool = rayon::cached_pool(2);
-    let before = pool.panic_count();
-    pool.spawn(|| panic!("stolen job panicked"));
-    pool.wait_idle();
-    assert_eq!(pool.panic_count(), before + 1);
-    let done = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let done2 = std::sync::Arc::clone(&done);
-    pool.spawn(move || done2.store(true, std::sync::atomic::Ordering::SeqCst));
-    pool.wait_idle();
-    assert!(done.load(std::sync::atomic::Ordering::SeqCst));
-}
-
 /// Outputs of the reference pipeline: mapped values, filtered sum, first
 /// match, and zip-enumerate pairs.
 type PipelineOutputs = (Vec<u64>, u64, Option<u64>, Vec<(usize, u64)>);
@@ -156,7 +140,8 @@ proptest! {
 
     /// Every combinator path — fused map/collect, filter+map+reduce,
     /// find_first, zip+enumerate, fold, flat_map_iter, pack/scan — equals
-    /// its sequential reference under randomized stealing at 1–8 threads.
+    /// its sequential reference under dynamic self-scheduling at 1–8
+    /// threads.
     #[test]
     fn combinators_match_sequential_at_any_width(
         xs in proptest::collection::vec(any::<u64>(), 0..6000),
@@ -187,7 +172,7 @@ proptest! {
         prop_assert_eq!(got_enum, want_enum);
     }
 
-    /// The pram primitives built on the pool agree with their references
+    /// The pram primitives built on the crews agree with their references
     /// at every width too (scan feeds pack; radix must stay stable).
     #[test]
     fn primitives_match_sequential_at_any_width(
