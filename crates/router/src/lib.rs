@@ -53,7 +53,12 @@
 //! The router itself is thread-per-connection with keep-alive, no solve
 //! queue of its own — admission control lives in the backends, whose
 //! `503 overloaded` the router converts into failover rather than
-//! client-visible failure (until every shard has shed it).
+//! client-visible failure (until every shard has shed it). Its transport
+//! is `ri-serve`'s server skeleton ([`ri_serve::http::HttpServer`]): this
+//! crate supplies only the route table and handlers, so the connection
+//! cap, `413`/`400` handling, shutdown, and panic isolation (a handler
+//! panic answers `500 internal` and releases the connection slot) are the
+//! same code as on the shards.
 
 #![forbid(unsafe_code)]
 
@@ -63,10 +68,10 @@ pub mod cache;
 pub mod ring;
 
 use std::collections::HashMap;
-use std::io;
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -76,7 +81,8 @@ use ri_core::engine::json::{self, Value};
 use ri_core::engine::session::{BatchDelta, BatchRequest, StreamSpec};
 use ri_core::engine::witness::{witness_key, StreamBatchRecord, WitnessLog, WitnessRecord};
 use ri_serve::http::{
-    read_request_buffered, write_response_opts, ClientConn, HttpResponse, ReadError,
+    body_text, stream_path, unmatched, write_response_opts, ClientConn, HttpRequest, HttpResponse,
+    HttpServer, Service, Transport, TransportConfig,
 };
 
 pub use backend::{Backend, BackendSpec, BackendState, BackendTarget};
@@ -194,8 +200,8 @@ struct Shared {
     backoff_sleeps: AtomicU64,
     /// Total milliseconds spent in inter-retry backoff sleeps.
     backoff_total_ms: AtomicU64,
-    draining: AtomicBool,
-    connections: AtomicUsize,
+    /// The server skeleton's state (draining flag, connection slots).
+    transport: Transport,
 }
 
 fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
@@ -205,10 +211,8 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
 /// A running router: owns the acceptor and health-poller threads plus
 /// every backend handle (spawned children die with it).
 pub struct Router {
-    shared: Arc<Shared>,
-    addr: SocketAddr,
-    acceptor: Option<std::thread::JoinHandle<()>>,
-    health: Option<std::thread::JoinHandle<()>>,
+    http: HttpServer<Shared>,
+    health: std::thread::JoinHandle<()>,
 }
 
 impl Router {
@@ -251,7 +255,17 @@ impl Router {
         };
 
         let listener = TcpListener::bind(&cfg.addr)?;
-        let addr = listener.local_addr()?;
+        let transport = Transport::new(TransportConfig {
+            name: "ri-router",
+            max_connections: cfg.max_connections,
+            max_body_bytes: cfg.max_body_bytes,
+            // Socket timeouts are derived from the configured request
+            // budget (floored at 10 s for idle keep-alive reads) — a fleet
+            // tuned for long solves must not have the router's own
+            // sockets cut them short.
+            io_timeout: Duration::from_millis(cfg.request_timeout_ms.max(10_000)),
+            drain_message: "router is draining",
+        });
         let shared = Arc::new(Shared {
             cache: ResultCache::new(cfg.cache_capacity),
             witness,
@@ -267,8 +281,7 @@ impl Router {
             deadline_expired: AtomicU64::new(0),
             backoff_sleeps: AtomicU64::new(0),
             backoff_total_ms: AtomicU64::new(0),
-            draining: AtomicBool::new(false),
-            connections: AtomicUsize::new(0),
+            transport,
             cfg,
         });
 
@@ -287,6 +300,7 @@ impl Router {
         // right after start() don't race an all-Unknown fleet.
         poll_health_once(&shared);
 
+        let http = HttpServer::start(Arc::clone(&shared), listener)?;
         let health = {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
@@ -294,58 +308,33 @@ impl Router {
                 .spawn(move || health_loop(&shared))
                 .expect("spawning the health thread")
         };
-        let acceptor = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("ri-router-accept".into())
-                .spawn(move || acceptor_loop(&shared, listener))
-                .expect("spawning the acceptor thread")
-        };
-
-        Ok(Router {
-            shared,
-            addr,
-            acceptor: Some(acceptor),
-            health: Some(health),
-        })
+        Ok(Router { http, health })
     }
 
     /// The bound address (resolves port 0 to the actual ephemeral port).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.http.local_addr()
     }
 
     /// The live backend handles, in spec order.
     pub fn backends(&self) -> &[Backend] {
-        &self.shared.backends
+        &self.http.service().backends
     }
 
     /// Failover attempts so far.
     pub fn retries(&self) -> u64 {
-        self.shared.retries.load(Ordering::SeqCst)
+        self.http.service().retries.load(Ordering::SeqCst)
     }
 
     /// Graceful shutdown: stop accepting, join the poller, detach every
     /// backend (killing spawned children).
-    pub fn shutdown(mut self) {
-        self.shared.draining.store(true, Ordering::SeqCst);
-        let woken =
-            (0..3).any(|_| TcpStream::connect_timeout(&self.addr, Duration::from_secs(1)).is_ok());
-        if let Some(acceptor) = self.acceptor.take() {
-            if woken {
-                let _ = acceptor.join();
-            }
-        }
-        if let Some(health) = self.health.take() {
+    pub fn shutdown(self) {
+        let shared = Arc::clone(self.http.service());
+        let health = self.health;
+        self.http.shutdown(|| {
             let _ = health.join();
-        }
-        let t0 = Instant::now();
-        while self.shared.connections.load(Ordering::SeqCst) > 0
-            && t0.elapsed() < Duration::from_secs(5)
-        {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        for backend in &self.shared.backends {
+        });
+        for backend in &shared.backends {
             backend.detach();
         }
     }
@@ -353,9 +342,9 @@ impl Router {
 
 fn health_loop(shared: &Arc<Shared>) {
     let interval = Duration::from_millis(shared.cfg.health_interval_ms.max(10));
-    while !shared.draining.load(Ordering::SeqCst) {
+    while !shared.transport.draining() {
         std::thread::sleep(interval);
-        if shared.draining.load(Ordering::SeqCst) {
+        if shared.transport.draining() {
             break;
         }
         poll_health_once(shared);
@@ -400,81 +389,22 @@ fn poll_health_once(shared: &Shared) {
     }
 }
 
-fn acceptor_loop(shared: &Arc<Shared>, listener: TcpListener) {
-    for stream in listener.incoming() {
-        let stream = match stream {
-            Ok(s) => s,
-            Err(_) => {
-                if shared.draining.load(Ordering::SeqCst) {
-                    break;
-                }
-                continue;
-            }
-        };
-        if shared.draining.load(Ordering::SeqCst) {
-            reject_connection(shared, stream, "router is draining");
-            break;
-        }
-        if shared.connections.load(Ordering::SeqCst) >= shared.cfg.max_connections {
-            reject_connection(shared, stream, "connection limit reached; retry later");
-            continue;
-        }
-        shared.connections.fetch_add(1, Ordering::SeqCst);
-        let conn_shared = Arc::clone(shared);
-        let spawned = std::thread::Builder::new()
-            .name("ri-router-conn".into())
-            .spawn(move || {
-                handle_connection(&conn_shared, stream);
-                conn_shared.connections.fetch_sub(1, Ordering::SeqCst);
-            });
-        if spawned.is_err() {
-            shared.connections.fetch_sub(1, Ordering::SeqCst);
-        }
+impl Service for Shared {
+    fn transport(&self) -> &Transport {
+        &self.transport
     }
-}
 
-fn reject_connection(shared: &Shared, mut stream: TcpStream, why: &str) {
-    let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
-    respond_error(
-        shared,
-        &mut stream,
-        &ServeError::new(ServeErrorKind::Overloaded, why),
-        false,
-        &[],
-    );
-}
+    fn respond_error(&self, out: &mut dyn Write, err: &ServeError, keep_alive: bool) {
+        respond_error(self, out, err, keep_alive, &[]);
+    }
 
-fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
-    // Socket timeouts are derived from the configured request budget
-    // (floored at 10 s for idle keep-alive reads) — a fleet tuned for
-    // long solves must not have the router's own sockets cut them short.
-    let io_timeout = Duration::from_millis(shared.cfg.request_timeout_ms.max(10_000));
-    let _ = stream.set_read_timeout(Some(io_timeout));
-    let _ = stream.set_write_timeout(Some(io_timeout));
-    let _ = stream.set_nodelay(true);
-
-    let mut carry = Vec::new();
-    loop {
-        let request =
-            match read_request_buffered(&mut stream, &mut carry, shared.cfg.max_body_bytes) {
-                Ok(r) => r,
-                Err(e) => {
-                    let err = match e {
-                        ReadError::Closed | ReadError::Io(_) => return,
-                        ReadError::BodyTooLarge {
-                            declared, limit, ..
-                        } => ServeError::new(
-                            ServeErrorKind::BodyTooLarge,
-                            format!("body of {declared} bytes exceeds the {limit}-byte limit"),
-                        ),
-                        ReadError::BadRequest(msg) => ServeError::bad_request(msg),
-                    };
-                    respond_error(shared, &mut stream, &err, false, &[]);
-                    return;
-                }
-            };
-
-        let keep_alive = request.keep_alive() && !shared.draining.load(Ordering::SeqCst);
+    /// The router's route table.
+    fn handle(
+        self: &Arc<Self>,
+        stream: &mut TcpStream,
+        request: &HttpRequest,
+        keep_alive: bool,
+    ) -> bool {
         // The end-to-end deadline budget for this request: the client's
         // `X-RI-Deadline-Ms` when present (clamped to the router's own
         // ceiling), else the configured request timeout. Decremented
@@ -482,129 +412,113 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
         let budget_ms = request
             .header(DEADLINE_HEADER)
             .and_then(|v| v.trim().parse::<u64>().ok())
-            .map_or(shared.cfg.request_timeout_ms, |b| {
-                b.min(shared.cfg.request_timeout_ms)
+            .map_or(self.cfg.request_timeout_ms, |b| {
+                b.min(self.cfg.request_timeout_ms)
             });
-        match (request.method.as_str(), request.path.as_str()) {
-            ("POST", "/solve") => {
-                handle_solve(shared, &mut stream, &request.body, keep_alive, budget_ms)
-            }
-            ("POST", "/stream") => {
-                handle_stream_open(shared, &mut stream, &request.body, keep_alive, budget_ms)
-            }
+        let body = &request.body;
+        let out = &mut Reply { stream, keep_alive };
+        let answered = match (request.method.as_str(), request.path.as_str()) {
+            ("POST", "/solve") => handle_solve(self, out, body, budget_ms),
+            ("POST", "/stream") => handle_stream_open(self, out, body, budget_ms),
             (method, path) if path.strip_prefix("/stream/").is_some_and(|r| !r.is_empty()) => {
-                handle_stream_session(
-                    shared,
-                    &mut stream,
-                    method,
-                    path,
-                    &request.body,
-                    keep_alive,
-                    budget_ms,
-                )
+                handle_stream_session(self, out, method, path, body, budget_ms)
             }
-            ("GET", "/healthz") => {
-                let body = health_value(shared).write();
-                let _ = write_response_opts(&mut stream, 200, keep_alive, &[], &body);
-            }
-            ("GET", "/problems") => handle_problems(shared, &mut stream, keep_alive),
-            ("POST", "/admin/drain") => {
-                handle_drain(shared, &mut stream, &request.body, keep_alive)
-            }
-            (_, "/solve")
-            | (_, "/stream")
-            | (_, "/healthz")
-            | (_, "/problems")
-            | (_, "/admin/drain") => {
-                let err = ServeError::new(
-                    ServeErrorKind::MethodNotAllowed,
-                    format!("{} is not supported on {}", request.method, request.path),
-                );
-                respond_error(shared, &mut stream, &err, keep_alive, &[]);
-            }
-            (_, path) => {
-                let err = ServeError::new(
-                    ServeErrorKind::NotFound,
-                    format!(
-                        "no such path `{path}`; try POST /solve, POST /stream, GET /problems, \
-                         GET /healthz, POST /admin/drain"
-                    ),
-                );
-                respond_error(shared, &mut stream, &err, keep_alive, &[]);
-            }
+            ("GET", "/healthz") => out.send(200, &[], &health_value(self).write()),
+            ("GET", "/problems") => handle_problems(self, out),
+            ("POST", "/admin/drain") => handle_drain(self, out, body),
+            _ => Err(unmatched(
+                request,
+                &["/solve", "/stream", "/healthz", "/problems", "/admin/drain"],
+                "POST /solve, POST /stream, GET /problems, GET /healthz, POST /admin/drain",
+            )),
+        };
+        if let Err(err) = answered {
+            respond_error(self, out.stream, &err, keep_alive, &[]);
         }
-        if !keep_alive {
-            return;
-        }
+        true
+    }
+}
+
+/// Where one request's response goes: the client connection, and whether
+/// it stays open afterwards. Handlers answer through it and return `Ok`,
+/// or return the error envelope for the dispatcher to answer.
+struct Reply<'a> {
+    stream: &'a mut TcpStream,
+    keep_alive: bool,
+}
+
+impl Reply<'_> {
+    /// Write one response with `extra` headers.
+    fn send(&mut self, status: u16, extra: &[(&str, &str)], body: &str) -> Result<(), ServeError> {
+        let _ = write_response_opts(self.stream, status, self.keep_alive, extra, body);
+        Ok(())
     }
 }
 
 /// `POST /solve`: validate, check the cache, then walk the ring under
 /// breaker gating, backoff, and the request's deadline budget.
 fn handle_solve(
-    shared: &Arc<Shared>,
-    stream: &mut TcpStream,
+    shared: &Shared,
+    out: &mut Reply,
     body: &[u8],
-    keep_alive: bool,
     budget_ms: u64,
-) {
+) -> Result<(), ServeError> {
     // Parse with the same envelope code the backends use, so the router
     // rejects malformed requests itself instead of burning a backend
     // attempt on them (and so error shapes match shard-direct calls).
-    let text = match std::str::from_utf8(body) {
-        Ok(t) => t,
-        Err(_) => {
-            let err = ServeError::bad_request("request body is not UTF-8");
-            respond_error(shared, stream, &err, keep_alive, &[]);
-            return;
-        }
-    };
-    let request = match ServeRequest::from_json(text) {
-        Ok(r) => r,
-        Err(err) => {
-            respond_error(shared, stream, &err, keep_alive, &[]);
-            return;
-        }
-    };
+    let text = body_text(body)?;
+    let request = ServeRequest::from_json(text)?;
     let key = witness_key(&request.problem, &request.workload, &request.config);
 
     if let Some(cached) = shared.cache.get(&key) {
         shared.routed.fetch_add(1, Ordering::SeqCst);
-        let _ = write_response_opts(stream, 200, keep_alive, &[("X-RI-Cache", "hit")], &cached);
-        return;
+        return out.send(200, &[("X-RI-Cache", "hit")], &cached);
     }
 
-    match walk_ring(shared, &key, "POST", "/solve", Some(text), budget_ms) {
-        WalkOutcome::Served { index, resp } => {
+    let outcome = walk_ring(shared, &key, "POST", "/solve", Some(text), budget_ms);
+    respond_walk(
+        shared,
+        out,
+        outcome,
+        budget_ms,
+        "the request",
+        |out, index, resp| {
             let backend = &shared.backends[index];
             record_witness(shared, backend.shard_id(), &key, &resp.body);
             backend.count_served();
             shared.routed.fetch_add(1, Ordering::SeqCst);
-            let shard = backend.shard_id().to_string();
-            let _ = write_response_opts(
-                stream,
+            let shard = backend.shard_id();
+            out.send(
                 200,
-                keep_alive,
-                &[("X-RI-Shard", &shard), ("X-RI-Cache", "miss")],
+                &[("X-RI-Shard", shard), ("X-RI-Cache", "miss")],
                 &resp.body,
-            );
-        }
-        WalkOutcome::Forward { index, resp } => {
-            forward_response(shared, stream, index, &resp, keep_alive);
-        }
+            )
+        },
+    )
+}
+
+/// Answer a ring walk's outcome: `served` answers the 200 (it differs per
+/// endpoint); every failure outcome is answered the same way for all of
+/// them, with `what` naming the request in the exhausted-walk message.
+fn respond_walk(
+    shared: &Shared,
+    out: &mut Reply,
+    outcome: WalkOutcome,
+    budget_ms: u64,
+    what: &str,
+    served: impl FnOnce(&mut Reply, usize, HttpResponse) -> Result<(), ServeError>,
+) -> Result<(), ServeError> {
+    match outcome {
+        WalkOutcome::Served { index, resp } => served(out, index, resp),
+        WalkOutcome::Forward { index, resp } => forward_response(shared, out, index, &resp),
         WalkOutcome::Exhausted { sent, hint_ms } => {
-            respond_exhausted(shared, stream, sent, hint_ms, keep_alive, "the request");
+            respond_exhausted(shared, out, sent, hint_ms, what)
         }
-        WalkOutcome::DeadlineExpired => {
-            respond_deadline_expired(shared, stream, budget_ms, keep_alive);
-        }
-        WalkOutcome::NoCandidates => {
-            let err = ServeError::new(
-                ServeErrorKind::Overloaded,
-                "no routable shard (all draining or detached); retry later",
-            );
-            respond_error(shared, stream, &err, keep_alive, &[]);
-        }
+        WalkOutcome::DeadlineExpired => Err(deadline_expired(budget_ms)),
+        WalkOutcome::NoCandidates => Err(ServeError::new(
+            ServeErrorKind::Overloaded,
+            "no routable shard (all draining or detached); retry later",
+        )),
     }
 }
 
@@ -697,22 +611,7 @@ fn walk_ring(
         if sent > 0 {
             shared.retries.fetch_add(1, Ordering::SeqCst);
         }
-        let attempt_timeout = remaining.min(Duration::from_millis(
-            shared.cfg.request_timeout_ms.max(100),
-        ));
-        let forwarded = remaining.as_millis().min(u64::MAX as u128) as u64;
-        let deadline_hdr = forwarded.to_string();
-        backend.begin_request();
-        let outcome = proxy_request_opts(
-            backend,
-            method,
-            path,
-            body,
-            attempt_timeout,
-            &[(DEADLINE_HEADER, &deadline_hdr)],
-            true,
-        );
-        backend.end_request();
+        let outcome = proxy_attempt(shared, backend, method, path, body, remaining, true);
         sent += 1;
         match outcome {
             Ok(resp) if resp.status == 200 => {
@@ -789,24 +688,22 @@ fn retry_hint_ms(resp: &HttpResponse) -> Option<u64> {
 /// sent none) and naming the shard.
 fn forward_response(
     shared: &Shared,
-    stream: &mut TcpStream,
+    out: &mut Reply,
     index: usize,
     resp: &HttpResponse,
-    keep_alive: bool,
-) {
+) -> Result<(), ServeError> {
     shared.errored.fetch_add(1, Ordering::SeqCst);
     if resp.status == 504 {
         shared.deadline_expired.fetch_add(1, Ordering::SeqCst);
     }
-    let shard = shared.backends[index].shard_id().to_string();
-    let mut extra: Vec<(&str, &str)> = vec![("X-RI-Shard", &shard)];
+    let mut extra = vec![("X-RI-Shard", shared.backends[index].shard_id())];
     if resp.status == 503 {
         extra.push(("Retry-After", resp.header("retry-after").unwrap_or("1")));
         if let Some(ms) = resp.header(RETRY_AFTER_MS_HEADER) {
             extra.push((RETRY_AFTER_MS_HEADER, ms));
         }
     }
-    let _ = write_response_opts(stream, resp.status, keep_alive, &extra, &resp.body);
+    out.send(resp.status, &extra, &resp.body)
 }
 
 /// Answer the synthesized 503 for a walk that ran dry: either every
@@ -814,12 +711,11 @@ fn forward_response(
 /// every routable shard's breaker was open.
 fn respond_exhausted(
     shared: &Shared,
-    stream: &mut TcpStream,
+    out: &mut Reply,
     sent: usize,
     hint_ms: Option<u64>,
-    keep_alive: bool,
     what: &str,
-) {
+) -> Result<(), ServeError> {
     let err = if sent == 0 {
         ServeError::new(
             ServeErrorKind::Overloaded,
@@ -836,25 +732,58 @@ fn respond_exhausted(
     let ms = hint.to_string();
     respond_error(
         shared,
-        stream,
+        out.stream,
         &err,
-        keep_alive,
+        out.keep_alive,
         &[("Retry-After", &secs), (RETRY_AFTER_MS_HEADER, &ms)],
     );
+    Ok(())
 }
 
-/// Answer the structured 504 for an exhausted deadline budget.
-fn respond_deadline_expired(
-    shared: &Shared,
-    stream: &mut TcpStream,
-    budget_ms: u64,
-    keep_alive: bool,
-) {
-    let err = ServeError::new(
+/// The structured 504 for an exhausted deadline budget.
+fn deadline_expired(budget_ms: u64) -> ServeError {
+    ServeError::new(
         ServeErrorKind::DeadlineExceeded,
         format!("deadline budget of {budget_ms} ms exhausted before any shard answered"),
+    )
+}
+
+/// One client-facing attempt against `backend` with `remaining` budget:
+/// the per-attempt timeout is the budget capped by the request timeout,
+/// the budget itself is forwarded as `X-RI-Deadline-Ms`, and the attempt
+/// counts in the backend's in-flight gauge (what a drain waits out).
+fn proxy_attempt(
+    shared: &Shared,
+    backend: &Backend,
+    method: &str,
+    path: &str,
+    body: Option<&str>,
+    remaining: Duration,
+    retry_stale: bool,
+) -> io::Result<HttpResponse> {
+    let timeout = remaining.min(Duration::from_millis(
+        shared.cfg.request_timeout_ms.max(100),
+    ));
+    let deadline_hdr = (remaining.as_millis().min(u64::MAX as u128) as u64).to_string();
+    backend.begin_request();
+    let outcome = proxy_request_opts(
+        backend,
+        method,
+        path,
+        body,
+        timeout,
+        &[(DEADLINE_HEADER, &deadline_hdr)],
+        retry_stale,
     );
-    respond_error(shared, stream, &err, keep_alive, &[]);
+    backend.end_request();
+    outcome
+}
+
+/// The timeout for the router's own control-plane calls to a shard
+/// (stream info and close, `/problems`): the request timeout, clamped
+/// so one of them never waits as long as a whole solve may.
+fn control_timeout(cfg: &RouterConfig) -> Duration {
+    Duration::from_millis(cfg.request_timeout_ms.clamp(100, 10_000))
 }
 
 /// Proxy one idempotent request to a backend over its pooled keep-alive
@@ -896,30 +825,15 @@ fn proxy_request_opts(
 /// the ring like `/solve` — an open has no state to lose yet, so it
 /// shares the breaker/backoff/deadline walk).
 fn handle_stream_open(
-    shared: &Arc<Shared>,
-    stream: &mut TcpStream,
+    shared: &Shared,
+    out: &mut Reply,
     body: &[u8],
-    keep_alive: bool,
     budget_ms: u64,
-) {
-    let text = match std::str::from_utf8(body) {
-        Ok(t) => t,
-        Err(_) => {
-            let err = ServeError::bad_request("request body is not UTF-8");
-            respond_error(shared, stream, &err, keep_alive, &[]);
-            return;
-        }
-    };
+) -> Result<(), ServeError> {
     // Validate with the same envelope code the backends use, and take
     // over id assignment: the router must know the id *before* the
     // session exists anywhere, because the id is the routing key.
-    let mut spec = match StreamSpec::from_json(text) {
-        Ok(s) => s,
-        Err(err) => {
-            respond_error(shared, stream, &err, keep_alive, &[]);
-            return;
-        }
-    };
+    let mut spec = StreamSpec::from_json(body_text(body)?)?;
     let id = spec.session_id.clone().unwrap_or_else(|| {
         format!(
             "rs-{}",
@@ -927,15 +841,21 @@ fn handle_stream_open(
         )
     });
     if lock(&shared.sticky).contains_key(&id) {
-        let err = ServeError::bad_request(format!("session `{id}` is already open"));
-        respond_error(shared, stream, &err, keep_alive, &[]);
-        return;
+        return Err(ServeError::bad_request(format!(
+            "session `{id}` is already open"
+        )));
     }
     spec.session_id = Some(id.clone());
     let open_body = spec.to_json();
 
-    match walk_ring(shared, &id, "POST", "/stream", Some(&open_body), budget_ms) {
-        WalkOutcome::Served { index, resp } => {
+    let outcome = walk_ring(shared, &id, "POST", "/stream", Some(&open_body), budget_ms);
+    respond_walk(
+        shared,
+        out,
+        outcome,
+        budget_ms,
+        "the session open",
+        |out, index, resp| {
             lock(&shared.sticky).insert(
                 id.clone(),
                 Arc::new(Mutex::new(StickySession {
@@ -945,91 +865,48 @@ fn handle_stream_open(
                     dirty: false,
                 })),
             );
-            let shard = shared.backends[index].shard_id().to_string();
-            let _ = write_response_opts(
-                stream,
-                200,
-                keep_alive,
-                &[("X-RI-Shard", &shard)],
-                &resp.body,
-            );
-        }
-        WalkOutcome::Forward { index, resp } => {
-            forward_response(shared, stream, index, &resp, keep_alive);
-        }
-        WalkOutcome::Exhausted { sent, hint_ms } => {
-            respond_exhausted(
-                shared,
-                stream,
-                sent,
-                hint_ms,
-                keep_alive,
-                "the session open",
-            );
-        }
-        WalkOutcome::DeadlineExpired => {
-            respond_deadline_expired(shared, stream, budget_ms, keep_alive);
-        }
-        WalkOutcome::NoCandidates => {
-            let err = ServeError::new(
-                ServeErrorKind::Overloaded,
-                "no routable shard (all draining or detached); retry later",
-            );
-            respond_error(shared, stream, &err, keep_alive, &[]);
-        }
-    }
+            let shard = shared.backends[index].shard_id();
+            out.send(200, &[("X-RI-Shard", shard)], &resp.body)
+        },
+    )
 }
 
 /// `/stream/<id>[/batch]`: sticky-route to the session's pinned shard,
 /// migrating the session first when that shard is gone.
 fn handle_stream_session(
-    shared: &Arc<Shared>,
-    stream: &mut TcpStream,
+    shared: &Shared,
+    out: &mut Reply,
     method: &str,
     path: &str,
     body: &[u8],
-    keep_alive: bool,
     budget_ms: u64,
-) {
-    let rest = path.strip_prefix("/stream/").unwrap_or_default();
-    let (id, action) = match rest.strip_suffix("/batch") {
-        Some(id) => (id, "batch"),
-        None => (rest, ""),
-    };
-    if id.is_empty() || id.contains('/') {
-        let err = ServeError::new(
-            ServeErrorKind::NotFound,
-            format!("no such path `{path}`; stream paths are /stream/<id> and /stream/<id>/batch"),
-        );
-        respond_error(shared, stream, &err, keep_alive, &[]);
-        return;
-    }
-    match (method, action) {
-        ("POST", "batch") => handle_stream_batch(shared, stream, id, body, keep_alive, budget_ms),
-        ("GET", "") => handle_stream_info(shared, stream, id, keep_alive),
-        ("DELETE", "") => handle_stream_close(shared, stream, id, keep_alive),
-        _ => {
-            let err = ServeError::new(
-                ServeErrorKind::MethodNotAllowed,
-                format!("{method} is not supported on {path}"),
-            );
-            respond_error(shared, stream, &err, keep_alive, &[]);
-        }
+) -> Result<(), ServeError> {
+    let (id, batch) = stream_path(path)?;
+    match (method, batch) {
+        ("POST", true) => handle_stream_batch(shared, out, id, body, budget_ms),
+        ("GET", false) => handle_stream_info(shared, out, id),
+        ("DELETE", false) => handle_stream_close(shared, out, id),
+        _ => Err(ServeError::new(
+            ServeErrorKind::MethodNotAllowed,
+            format!("{method} is not supported on {path}"),
+        )),
     }
 }
 
 /// Look up a session's sticky entry (shared so the per-session mutex
 /// outlives the map lock).
-fn sticky_entry(shared: &Shared, id: &str) -> Option<Arc<Mutex<StickySession>>> {
-    lock(&shared.sticky).get(id).cloned()
+fn sticky_entry(shared: &Shared, id: &str) -> Result<Arc<Mutex<StickySession>>, ServeError> {
+    lock(&shared.sticky)
+        .get(id)
+        .cloned()
+        .ok_or_else(|| no_session(id))
 }
 
-fn respond_no_session(shared: &Shared, stream: &mut TcpStream, id: &str, keep_alive: bool) {
-    let err = ServeError::new(
+fn no_session(id: &str) -> ServeError {
+    ServeError::new(
         ServeErrorKind::NotFound,
         format!("no open session `{id}` (closed, evicted, or never opened here)"),
-    );
-    respond_error(shared, stream, &err, keep_alive, &[]);
+    )
 }
 
 /// `POST /stream/<id>/batch`: serve the batch from the pinned shard. The
@@ -1045,32 +922,25 @@ fn respond_no_session(shared: &Shared, stream: &mut TcpStream, id: &str, keep_al
 /// the *pre-batch* state, making the router-level retry safe — never
 /// through a blind re-send that could execute the batch twice.
 fn handle_stream_batch(
-    shared: &Arc<Shared>,
-    stream: &mut TcpStream,
+    shared: &Shared,
+    out: &mut Reply,
     id: &str,
     body: &[u8],
-    keep_alive: bool,
     budget_ms: u64,
-) {
-    let request = match std::str::from_utf8(body)
-        .map_err(|_| ServeError::bad_request("request body is not UTF-8"))
-        .and_then(BatchRequest::from_json)
-    {
-        Ok(r) => r,
-        Err(err) => {
-            respond_error(shared, stream, &err, keep_alive, &[]);
-            return;
-        }
-    };
-    let Some(entry) = sticky_entry(shared, id) else {
-        respond_no_session(shared, stream, id, keep_alive);
-        return;
-    };
+) -> Result<(), ServeError> {
+    let request = BatchRequest::from_json(body_text(body)?)?;
+    let entry = sticky_entry(shared, id)?;
     let mut sess = lock(&entry);
     let t0 = Instant::now();
     let budget = Duration::from_millis(budget_ms);
     let batch_path = format!("/stream/{id}/batch");
     let batch_body = request.to_json();
+    let unavailable = |why: &str| {
+        ServeError::new(
+            ServeErrorKind::Overloaded,
+            format!("session `{id}` {why}; retry later"),
+        )
+    };
 
     // Two tries: the pinned shard, then (after one migration) the new
     // home. A second failure answers 503 — the batch is retryable from
@@ -1078,8 +948,7 @@ fn handle_stream_batch(
     for attempt in 0..2 {
         let remaining = budget.saturating_sub(t0.elapsed());
         if remaining < Duration::from_millis(1) {
-            respond_deadline_expired(shared, stream, budget_ms, keep_alive);
-            return;
+            return Err(deadline_expired(budget_ms));
         }
         // A dirty session's shard-side state is unknown (a previous
         // batch's response was lost in transit and may have executed):
@@ -1089,29 +958,18 @@ fn handle_stream_batch(
         if (sess.dirty || !shared.backends[sess.shard].routable())
             && !migrate_session(shared, id, &mut sess)
         {
-            let err = ServeError::new(
-                ServeErrorKind::Overloaded,
-                format!("session `{id}` has no routable shard; retry later"),
-            );
-            respond_error(shared, stream, &err, keep_alive, &[]);
-            return;
+            return Err(unavailable("has no routable shard"));
         }
         let backend = &shared.backends[sess.shard];
-        let attempt_timeout = remaining.min(Duration::from_millis(
-            shared.cfg.request_timeout_ms.max(100),
-        ));
-        let deadline_hdr = (remaining.as_millis().min(u64::MAX as u128) as u64).to_string();
-        backend.begin_request();
-        let outcome = proxy_request_opts(
+        let outcome = proxy_attempt(
+            shared,
             backend,
             "POST",
             &batch_path,
             Some(&batch_body),
-            attempt_timeout,
-            &[(DEADLINE_HEADER, &deadline_hdr)],
+            remaining,
             false, // non-idempotent: never blind-retry a stale connection
         );
-        backend.end_request();
         match outcome {
             Ok(resp) if resp.status == 200 => {
                 backend.breaker().record(true);
@@ -1119,15 +977,7 @@ fn handle_stream_batch(
                 backend.count_served();
                 shared.stream_batches.fetch_add(1, Ordering::SeqCst);
                 record_stream_witness(shared, &sess, id, backend.shard_id(), &resp.body);
-                let shard = backend.shard_id().to_string();
-                let _ = write_response_opts(
-                    stream,
-                    200,
-                    keep_alive,
-                    &[("X-RI-Shard", &shard)],
-                    &resp.body,
-                );
-                return;
+                return out.send(200, &[("X-RI-Shard", backend.shard_id())], &resp.body);
             }
             Ok(resp) if attempt == 0 && retryable_response(&resp) => {
                 // The shard shed the batch without running it (draining
@@ -1139,12 +989,7 @@ fn handle_stream_batch(
                 if migrate_session(shared, id, &mut sess) {
                     continue;
                 }
-                let err = ServeError::new(
-                    ServeErrorKind::Overloaded,
-                    format!("session `{id}` has no routable shard; retry later"),
-                );
-                respond_error(shared, stream, &err, keep_alive, &[]);
-                return;
+                return Err(unavailable("has no routable shard"));
             }
             Ok(resp) if resp.status == 404 => {
                 // The shard is responsive but has no such session: it was
@@ -1159,20 +1004,14 @@ fn handle_stream_batch(
                         continue;
                     }
                 }
-                let err = ServeError::new(
-                    ServeErrorKind::Overloaded,
-                    format!("session `{id}` was evicted and could not be rebuilt; retry later"),
-                );
-                respond_error(shared, stream, &err, keep_alive, &[]);
-                return;
+                return Err(unavailable("was evicted and could not be rebuilt"));
             }
             Ok(resp) => {
                 // The shard answered: a structured error the client must
                 // see (bad count, overfeed, ...). Never migrate on these —
                 // the session is alive and its state did not advance.
                 backend.breaker().record(true);
-                forward_response(shared, stream, sess.shard, &resp, keep_alive);
-                return;
+                return forward_response(shared, out, sess.shard, &resp);
             }
             Err(_) => {
                 // The batch was sent but no response came back: it may or
@@ -1190,80 +1029,55 @@ fn handle_stream_batch(
                         continue;
                     }
                 }
-                let err = ServeError::new(
-                    ServeErrorKind::Overloaded,
-                    format!("session `{id}` lost its shard and could not migrate; retry later"),
-                );
-                respond_error(shared, stream, &err, keep_alive, &[]);
-                return;
+                return Err(unavailable("lost its shard and could not migrate"));
             }
         }
     }
+    unreachable!("every second attempt returns")
 }
 
 /// `GET /stream/<id>`: proxy the info read to the pinned shard.
-fn handle_stream_info(shared: &Arc<Shared>, stream: &mut TcpStream, id: &str, keep_alive: bool) {
-    let Some(entry) = sticky_entry(shared, id) else {
-        respond_no_session(shared, stream, id, keep_alive);
-        return;
-    };
+fn handle_stream_info(shared: &Shared, out: &mut Reply, id: &str) -> Result<(), ServeError> {
+    let entry = sticky_entry(shared, id)?;
     let sess = lock(&entry);
-    let timeout = Duration::from_millis(shared.cfg.request_timeout_ms.clamp(100, 10_000));
     let backend = &shared.backends[sess.shard];
-    match proxy_request(backend, "GET", &format!("/stream/{id}"), None, timeout) {
-        Ok(resp) => {
-            let shard = backend.shard_id().to_string();
-            let _ = write_response_opts(
-                stream,
-                resp.status,
-                keep_alive,
-                &[("X-RI-Shard", &shard)],
-                &resp.body,
-            );
-        }
-        Err(_) => {
-            backend.observe(false);
-            let err = ServeError::new(
-                ServeErrorKind::Overloaded,
-                format!("session `{id}`'s shard did not answer; retry later"),
-            );
-            respond_error(shared, stream, &err, keep_alive, &[]);
-        }
-    }
+    let path = format!("/stream/{id}");
+    let Ok(resp) = proxy_request(backend, "GET", &path, None, control_timeout(&shared.cfg)) else {
+        backend.observe(false);
+        return Err(ServeError::new(
+            ServeErrorKind::Overloaded,
+            format!("session `{id}`'s shard did not answer; retry later"),
+        ));
+    };
+    out.send(
+        resp.status,
+        &[("X-RI-Shard", backend.shard_id())],
+        &resp.body,
+    )
 }
 
 /// `DELETE /stream/<id>`: drop the sticky pin and close on the shard.
 /// The pin is dropped even when the shard is unreachable — the client
 /// wants the session gone, and the shard's own idle TTL will reap the
 /// orphan if the shard is merely slow rather than dead.
-fn handle_stream_close(shared: &Arc<Shared>, stream: &mut TcpStream, id: &str, keep_alive: bool) {
-    let Some(entry) = lock(&shared.sticky).remove(id) else {
-        respond_no_session(shared, stream, id, keep_alive);
-        return;
-    };
+fn handle_stream_close(shared: &Shared, out: &mut Reply, id: &str) -> Result<(), ServeError> {
+    let entry = lock(&shared.sticky)
+        .remove(id)
+        .ok_or_else(|| no_session(id))?;
     let sess = lock(&entry);
-    let timeout = Duration::from_millis(shared.cfg.request_timeout_ms.clamp(100, 10_000));
     let backend = &shared.backends[sess.shard];
-    let shard = backend.shard_id().to_string();
-    match proxy_request(backend, "DELETE", &format!("/stream/{id}"), None, timeout) {
-        Ok(resp) => {
-            let _ = write_response_opts(
-                stream,
-                resp.status,
-                keep_alive,
-                &[("X-RI-Shard", &shard)],
-                &resp.body,
-            );
-        }
+    let shard = [("X-RI-Shard", backend.shard_id())];
+    let path = format!("/stream/{id}");
+    match proxy_request(backend, "DELETE", &path, None, control_timeout(&shared.cfg)) {
+        Ok(resp) => out.send(resp.status, &shard, &resp.body),
         Err(_) => {
             backend.observe(false);
             let body = Value::Obj(vec![
                 ("session".into(), Value::Str(id.into())),
                 ("closed".into(), Value::Bool(true)),
                 ("shard_lost".into(), Value::Bool(true)),
-            ])
-            .write();
-            let _ = write_response_opts(stream, 200, keep_alive, &[("X-RI-Shard", &shard)], &body);
+            ]);
+            out.send(200, &shard, &body.write())
         }
     }
 }
@@ -1407,54 +1221,42 @@ fn record_witness(shared: &Shared, shard_id: &str, key: &str, body: &str) {
 
 /// `GET /problems`: proxied from the first shard that answers — the
 /// registry is identical across the fleet by construction.
-fn handle_problems(shared: &Shared, stream: &mut TcpStream, keep_alive: bool) {
-    let timeout = Duration::from_millis(shared.cfg.request_timeout_ms.clamp(100, 10_000));
-    for backend in &shared.backends {
-        if !backend.routable() {
-            continue;
-        }
-        let mut conn = backend.checkout(timeout);
-        if let Ok(resp) = conn.request("GET", "/problems", None) {
-            backend.checkin(conn);
-            let _ = write_response_opts(stream, resp.status, keep_alive, &[], &resp.body);
-            return;
+fn handle_problems(shared: &Shared, out: &mut Reply) -> Result<(), ServeError> {
+    let timeout = control_timeout(&shared.cfg);
+    for backend in shared.backends.iter().filter(|b| b.routable()) {
+        if let Ok(resp) = proxy_request(backend, "GET", "/problems", None, timeout) {
+            return out.send(resp.status, &[], &resp.body);
         }
         backend.observe(false);
     }
-    let err = ServeError::new(ServeErrorKind::Overloaded, "no shard answered /problems");
-    respond_error(shared, stream, &err, keep_alive, &[]);
+    Err(ServeError::new(
+        ServeErrorKind::Overloaded,
+        "no shard answered /problems",
+    ))
 }
 
 /// `POST /admin/drain {"shard_id": "..."}`: stop routing to the shard,
 /// then (off-thread) wait out its in-flight requests and stop it.
-fn handle_drain(shared: &Arc<Shared>, stream: &mut TcpStream, body: &[u8], keep_alive: bool) {
+fn handle_drain(shared: &Arc<Shared>, out: &mut Reply, body: &[u8]) -> Result<(), ServeError> {
     let parsed = std::str::from_utf8(body)
         .ok()
         .and_then(|t| json::parse(t).ok());
-    let shard_id = match parsed
+    let shard_id = parsed
         .as_ref()
         .and_then(|v| v.get("shard_id"))
         .and_then(Value::as_str)
-    {
-        Some(id) => id.to_string(),
-        None => {
-            let err = ServeError::bad_request("drain body must be {\"shard_id\": \"...\"}");
-            respond_error(shared, stream, &err, keep_alive, &[]);
-            return;
-        }
-    };
-    let Some(index) = shared
+        .ok_or_else(|| ServeError::bad_request("drain body must be {\"shard_id\": \"...\"}"))?
+        .to_string();
+    let index = shared
         .backends
         .iter()
         .position(|b| b.shard_id() == shard_id)
-    else {
-        let err = ServeError::new(
-            ServeErrorKind::NotFound,
-            format!("no shard named `{shard_id}`"),
-        );
-        respond_error(shared, stream, &err, keep_alive, &[]);
-        return;
-    };
+        .ok_or_else(|| {
+            ServeError::new(
+                ServeErrorKind::NotFound,
+                format!("no shard named `{shard_id}`"),
+            )
+        })?;
 
     let already = !shared.backends[index].begin_drain();
     if !already {
@@ -1481,14 +1283,13 @@ fn handle_drain(shared: &Arc<Shared>, stream: &mut TcpStream, body: &[u8], keep_
         ("status".into(), Value::Str("draining".into())),
         ("shard_id".into(), Value::Str(shard_id)),
         ("already_draining".into(), Value::Bool(already)),
-    ])
-    .write();
-    let _ = write_response_opts(stream, 200, keep_alive, &[], &body);
+    ]);
+    out.send(200, &[], &body.write())
 }
 
 fn respond_error(
     shared: &Shared,
-    stream: &mut impl io::Write,
+    stream: &mut (impl Write + ?Sized),
     err: &ServeError,
     keep_alive: bool,
     extra: &[(&str, &str)],
@@ -1557,7 +1358,7 @@ fn health_value(shared: &Shared) -> Value {
             ),
         ]));
     }
-    let status = if shared.draining.load(Ordering::SeqCst) {
+    let status = if shared.transport.draining() {
         "draining"
     } else if healthy == routable && routable > 0 {
         "ok"

@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 use parallel_ri::registry;
 use ri_core::engine::json::{self, Value};
 use ri_core::engine::witness::{read_log, replay};
-use ri_core::engine::{RunConfig, ServeRequest, WorkloadSpec};
+use ri_core::engine::{RunConfig, ServeError, ServeErrorKind, ServeRequest, WorkloadSpec};
 use ri_router::{BackendSpec, BackendTarget, Router, RouterConfig};
 use ri_serve::http::ClientConn;
 use ri_serve::{ServeConfig, Server};
@@ -320,6 +320,7 @@ fn router_rejects_malformed_requests_itself() {
     let router = Router::start(
         RouterConfig {
             health_interval_ms: 100,
+            max_body_bytes: 256,
             ..RouterConfig::default()
         },
         vec![attach_spec("s0", b0.local_addr())],
@@ -340,6 +341,61 @@ fn router_rejects_malformed_requests_itself() {
     let health = healthz(&router);
     assert_eq!(shard_field(&health, "s0", "served").as_f64(), Some(0.0));
     assert_eq!(health.get("errored").and_then(Value::as_f64), Some(2.0));
+
+    // An oversized body is answered 413 by the router itself.
+    let big = format!("{{\"problem\":\"sort\",\"pad\":\"{}\"}}", "x".repeat(512));
+    let resp = ri_serve::http::request(
+        router.local_addr(),
+        "POST",
+        "/solve",
+        Some(&big),
+        Duration::from_secs(10),
+    )
+    .expect("413 transports");
+    assert_eq!(resp.status, 413, "{}", resp.body);
+    let err = ServeError::from_json(&resp.body).expect("structured 413");
+    assert_eq!(err.kind, ServeErrorKind::BodyTooLarge);
+    let health = healthz(&router);
+    assert_eq!(shard_field(&health, "s0", "served").as_f64(), Some(0.0));
+    assert_eq!(health.get("errored").and_then(Value::as_f64), Some(3.0));
+
+    router.shutdown();
+    b0.shutdown();
+}
+
+/// The router's acceptor caps connection threads like a shard's: past
+/// `max_connections` it answers a structured 503, and a released slot
+/// restores service.
+#[test]
+fn router_connection_cap_sheds_with_structured_503() {
+    let b0 = start_backend();
+    let router = Router::start(
+        RouterConfig {
+            max_connections: 1,
+            ..RouterConfig::default()
+        },
+        vec![attach_spec("s0", b0.local_addr())],
+    )
+    .expect("router starts");
+    let addr = router.local_addr();
+
+    // An idle connection that never sends a request holds the only
+    // handler slot (its handler blocks in read).
+    let idle = std::net::TcpStream::connect(addr).expect("idle connect");
+    std::thread::sleep(Duration::from_millis(100));
+
+    let resp = ri_serve::http::request(addr, "GET", "/healthz", None, Duration::from_secs(5))
+        .expect("rejected connection still gets a response");
+    assert_eq!(resp.status, 503, "{}", resp.body);
+    let err = ServeError::from_json(&resp.body).expect("structured 503");
+    assert_eq!(err.kind, ServeErrorKind::Overloaded);
+
+    // Releasing the slot restores service.
+    drop(idle);
+    std::thread::sleep(Duration::from_millis(100));
+    let resp =
+        ri_serve::http::request(addr, "GET", "/healthz", None, Duration::from_secs(5)).unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.body);
 
     router.shutdown();
     b0.shutdown();

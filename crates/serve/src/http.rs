@@ -1,22 +1,41 @@
-//! Minimal HTTP/1.1 message handling over any `Read`/`Write` stream.
+//! Minimal HTTP/1.1 over any `Read`/`Write` stream, plus the one server
+//! skeleton both serving tiers run on.
 //!
 //! The server speaks the smallest useful HTTP subset, std-only:
 //! `Content-Length` bodies only (no chunked transfer), a bounded header
-//! section, and — since the router PR — **persistent connections**:
-//! requests are read through a caller-held carry buffer
-//! ([`read_request_buffered`]) so bytes that arrive beyond one request's
-//! body (a pipelined next request) are kept for the next read instead of
-//! being dropped, and responses advertise `Connection: keep-alive`
-//! whenever the request allows it. Responses are always JSON.
+//! section, and **persistent connections**: requests are read through a
+//! caller-held carry buffer ([`read_request_buffered`]) so bytes that
+//! arrive beyond one request's body (a pipelined next request) are kept
+//! for the next read instead of being dropped, and responses advertise
+//! `Connection: keep-alive` whenever the request allows it. Responses are
+//! always JSON.
+//!
+//! **The server skeleton.** [`HttpServer`] owns the transport half of
+//! `ri-serve` and `ri-router` alike: the acceptor (connection cap with a
+//! structured `503`, `503 draining` during shutdown, one thread per
+//! connection), the keep-alive read loop (socket timeouts, `413` after a
+//! bounded drain, `400` on malformed framing, `Connection: close` while
+//! draining), and shutdown. A tier supplies only a [`Service`]: its
+//! route table and its error writer. Each connection holds an RAII
+//! slot, and each request's dispatch runs under `catch_unwind`, so a
+//! handler panic is answered with a structured `500 internal` plus
+//! `Connection: close` and the slot is always given back.
 //!
 //! Client side: [`request`] performs a one-shot request (connect, send
 //! with `Connection: close`, read, close) and [`ClientConn`] holds one
 //! keep-alive connection open across requests — what the router's
 //! backend proxying uses so a proxied solve does not pay a TCP connect.
 
+use std::any::Any;
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::time::Duration;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
+
+use ri_core::engine::envelope::{ServeError, ServeErrorKind};
 
 /// Hard cap on the request head (request line + headers): a head this
 /// large is never legitimate for this API.
@@ -264,7 +283,7 @@ pub fn write_response(stream: &mut impl Write, status: u16, body: &str) -> io::R
 /// request) and emitting any `extra` headers (e.g. `Retry-After` on a
 /// 503, or the router's shard/cache annotations).
 pub fn write_response_opts(
-    stream: &mut impl Write,
+    stream: &mut (impl Write + ?Sized),
     status: u16,
     keep_alive: bool,
     extra: &[(&str, &str)],
@@ -285,6 +304,344 @@ pub fn write_response_opts(
     stream.write_all(head.as_bytes())?;
     stream.write_all(body.as_bytes())?;
     stream.flush()
+}
+
+/// The transport settings a tier hands the server skeleton, derived
+/// from its own config (`ServeConfig` / `RouterConfig`).
+#[derive(Debug, Clone)]
+pub struct TransportConfig {
+    /// Thread-name prefix: the acceptor is `<name>-accept`, connection
+    /// threads are `<name>-conn`.
+    pub name: &'static str,
+    /// Maximum simultaneous connection threads; the acceptor answers
+    /// `503` past it.
+    pub max_connections: usize,
+    /// Maximum accepted request body; larger bodies are answered `413`.
+    pub max_body_bytes: usize,
+    /// Read and write timeout on every accepted socket.
+    pub io_timeout: Duration,
+    /// The `503` message for connections that arrive during shutdown.
+    pub drain_message: &'static str,
+}
+
+/// The skeleton's per-server state: its settings, the draining flag,
+/// and the count of open connection slots. A tier embeds one in its
+/// shared state and reads [`Transport::draining`] from its handlers.
+#[derive(Debug)]
+pub struct Transport {
+    cfg: TransportConfig,
+    draining: AtomicBool,
+    connections: AtomicUsize,
+}
+
+impl Transport {
+    /// A transport under `cfg`, not draining, with no open connections.
+    pub fn new(cfg: TransportConfig) -> Self {
+        Transport {
+            cfg,
+            draining: AtomicBool::new(false),
+            connections: AtomicUsize::new(0),
+        }
+    }
+
+    /// Whether shutdown has begun.
+    pub fn draining(&self) -> bool {
+        self.draining.load(Ordering::SeqCst)
+    }
+}
+
+/// What a tier plugs into the skeleton: its route table and its error
+/// writer. Everything else — accepting, connection caps, keep-alive
+/// reads, request-level errors, panic isolation, shutdown — is
+/// [`HttpServer`]'s.
+pub trait Service: Send + Sync + 'static {
+    /// The skeleton state this tier embeds.
+    fn transport(&self) -> &Transport;
+
+    /// Answer one request on `stream`. `keep_alive` is already forced
+    /// off while draining. Returns whether the connection is still
+    /// usable (a fault that severs it returns `false`).
+    fn handle(
+        self: &Arc<Self>,
+        stream: &mut TcpStream,
+        request: &HttpRequest,
+        keep_alive: bool,
+    ) -> bool;
+
+    /// Write one error envelope and count it in the tier's counters.
+    fn respond_error(&self, out: &mut dyn Write, err: &ServeError, keep_alive: bool);
+
+    /// Whether the tier has gone dark: each connection is then severed
+    /// before another request is read, without a byte.
+    fn dark(&self) -> bool {
+        false
+    }
+}
+
+/// The envelope for a request no route matched: `405` when the path is
+/// one of the tier's `known` paths (so only the method is wrong), else
+/// `404` suggesting the endpoints in `hint`.
+pub fn unmatched(request: &HttpRequest, known: &[&str], hint: &str) -> ServeError {
+    let path = request.path.as_str();
+    if known.contains(&path) {
+        ServeError::new(
+            ServeErrorKind::MethodNotAllowed,
+            format!("{} is not supported on {path}", request.method),
+        )
+    } else {
+        ServeError::new(
+            ServeErrorKind::NotFound,
+            format!("no such path `{path}`; try {hint}"),
+        )
+    }
+}
+
+/// Split a `/stream/<id>` or `/stream/<id>/batch` path into the session
+/// id and whether it names the batch endpoint. Any other shape under
+/// `/stream/` is a `404` envelope.
+pub fn stream_path(path: &str) -> Result<(&str, bool), ServeError> {
+    let rest = path.strip_prefix("/stream/").unwrap_or_default();
+    let (id, batch) = match rest.strip_suffix("/batch") {
+        Some(id) => (id, true),
+        None => (rest, false),
+    };
+    if id.is_empty() || id.contains('/') {
+        return Err(ServeError::new(
+            ServeErrorKind::NotFound,
+            format!("no such path `{path}`; try /stream/<id> or /stream/<id>/batch"),
+        ));
+    }
+    Ok((id, batch))
+}
+
+/// A request body as UTF-8 text, or the `400` envelope saying it is not.
+pub fn body_text(body: &[u8]) -> Result<&str, ServeError> {
+    std::str::from_utf8(body).map_err(|_| ServeError::bad_request("request body is not UTF-8"))
+}
+
+/// The text of a caught panic payload.
+pub fn panic_message(payload: &(dyn Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "unknown panic payload".into())
+}
+
+/// A running server skeleton: one acceptor thread, one thread per
+/// connection, over a tier's [`Service`].
+pub struct HttpServer<S: Service> {
+    service: Arc<S>,
+    addr: SocketAddr,
+    acceptor: Option<JoinHandle<()>>,
+}
+
+impl<S: Service> HttpServer<S> {
+    /// Start accepting on `listener` for `service`.
+    pub fn start(service: Arc<S>, listener: TcpListener) -> io::Result<Self> {
+        let addr = listener.local_addr()?;
+        let acceptor = {
+            let service = Arc::clone(&service);
+            std::thread::Builder::new()
+                .name(format!("{}-accept", service.transport().cfg.name))
+                .spawn(move || acceptor_loop(&service, listener))?
+        };
+        Ok(HttpServer {
+            service,
+            addr,
+            acceptor: Some(acceptor),
+        })
+    }
+
+    /// The bound address.
+    pub fn local_addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// The tier's shared state.
+    pub fn service(&self) -> &Arc<S> {
+        &self.service
+    }
+
+    /// Graceful shutdown: set draining, wake and join the acceptor, run
+    /// the tier's own `quiesce` step (joining its worker threads), then
+    /// wait up to 5 s for open connections to finish.
+    pub fn shutdown(mut self, quiesce: impl FnOnce()) {
+        let transport = self.service.transport();
+        transport.draining.store(true, Ordering::SeqCst);
+        // Wake the acceptor's blocking accept with a throwaway
+        // connection (it answers a quick `503` and exits). Only join if
+        // a wake attempt landed — otherwise the acceptor may still be
+        // parked in accept(), and joining would hang forever; leaving it
+        // detached is safe (it exits on the next connection).
+        let woken =
+            (0..3).any(|_| TcpStream::connect_timeout(&self.addr, Duration::from_secs(1)).is_ok());
+        if let Some(acceptor) = self.acceptor.take() {
+            if woken {
+                let _ = acceptor.join();
+            }
+        }
+        quiesce();
+        let t0 = Instant::now();
+        while transport.connections.load(Ordering::SeqCst) > 0
+            && t0.elapsed() < Duration::from_secs(5)
+        {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+}
+
+/// One claimed connection slot; dropping it (normal exit, panic, or a
+/// failed thread spawn) gives the slot back.
+struct ConnSlot<S: Service>(Arc<S>);
+
+impl<S: Service> Drop for ConnSlot<S> {
+    fn drop(&mut self) {
+        self.0
+            .transport()
+            .connections
+            .fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+fn acceptor_loop<S: Service>(service: &Arc<S>, listener: TcpListener) {
+    let transport = service.transport();
+    for stream in listener.incoming() {
+        let stream = match stream {
+            Ok(s) => s,
+            Err(_) => {
+                if transport.draining() {
+                    break;
+                }
+                continue;
+            }
+        };
+        if transport.draining() {
+            // Whether this is the shutdown wake-up or a real client that
+            // raced the drain flag: answer, don't drop.
+            reject_connection(&**service, stream, transport.cfg.drain_message);
+            break;
+        }
+        // Cap handler threads: admission gates cannot protect
+        // thread/memory budgets from connections that never send a
+        // request, so the acceptor itself sheds beyond the limit.
+        if transport.connections.load(Ordering::SeqCst) >= transport.cfg.max_connections {
+            reject_connection(&**service, stream, "connection limit reached; retry later");
+            continue;
+        }
+        transport.connections.fetch_add(1, Ordering::SeqCst);
+        let slot = ConnSlot(Arc::clone(service));
+        // A failed spawn drops the closure, and with it the slot: thread
+        // exhaustion sheds the connection instead of killing the server.
+        let _ = std::thread::Builder::new()
+            .name(format!("{}-conn", transport.cfg.name))
+            .spawn(move || {
+                let mut stream = stream;
+                handle_connection(&slot.0, &mut stream);
+                // Free the slot before the socket closes, so a client
+                // that reconnects on EOF never races this connection's
+                // release.
+                drop(slot);
+            });
+    }
+}
+
+/// Answer a connection the acceptor cannot hand to a handler thread with
+/// a quick `503` envelope (short write timeout — the acceptor must never
+/// block on a slow peer).
+fn reject_connection(service: &impl Service, mut stream: TcpStream, why: &str) {
+    let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
+    let err = ServeError::new(ServeErrorKind::Overloaded, why);
+    service.respond_error(&mut stream, &err, false);
+}
+
+/// Per-connection protocol: read requests off the connection for as long
+/// as the client keeps it alive (the carry buffer keeps pipelined bytes
+/// between reads) and hand each to the tier. Read errors become
+/// structured envelopes — never silent drops — and close the connection,
+/// since framing beyond a malformed request is unknowable. A panic in
+/// the tier's handler becomes a `500 internal` and closes the connection.
+fn handle_connection<S: Service>(service: &Arc<S>, stream: &mut TcpStream) {
+    let transport = service.transport();
+    let _ = stream.set_read_timeout(Some(transport.cfg.io_timeout));
+    let _ = stream.set_write_timeout(Some(transport.cfg.io_timeout));
+    let _ = stream.set_nodelay(true);
+
+    let mut carry = Vec::new();
+    loop {
+        if service.dark() {
+            let _ = stream.shutdown(Shutdown::Both);
+            return;
+        }
+        let request = match read_request_buffered(stream, &mut carry, transport.cfg.max_body_bytes)
+        {
+            Ok(r) => r,
+            Err(e) => {
+                let err = match e {
+                    // The client finished and closed between requests
+                    // (the normal end of a keep-alive connection), or a
+                    // socket error — including the idle timeout — left no
+                    // client to answer.
+                    ReadError::Closed | ReadError::Io(_) => return,
+                    ReadError::BodyTooLarge {
+                        declared,
+                        limit,
+                        buffered,
+                    } => {
+                        // Drain (bounded) what the client is still sending
+                        // so the 413 is not lost to a connection reset
+                        // mid-write. Body bytes that arrived with the head
+                        // are already consumed — re-requesting them would
+                        // stall until the read timeout.
+                        drain(stream, declared.saturating_sub(buffered).min(4 << 20));
+                        ServeError::new(
+                            ServeErrorKind::BodyTooLarge,
+                            format!("body of {declared} bytes exceeds the {limit}-byte limit"),
+                        )
+                    }
+                    ReadError::BadRequest(msg) => ServeError::bad_request(msg),
+                };
+                service.respond_error(stream, &err, false);
+                return;
+            }
+        };
+
+        // Honor the client's keep-alive preference, but force the final
+        // response of a draining server to close.
+        let keep_alive = request.keep_alive() && !transport.draining();
+        match catch_unwind(AssertUnwindSafe(|| {
+            service.handle(stream, &request, keep_alive)
+        })) {
+            Ok(usable) if usable && keep_alive => {}
+            Ok(_) => return,
+            Err(panic) => {
+                let err = ServeError::new(
+                    ServeErrorKind::Internal,
+                    format!(
+                        "{} {} panicked: {}",
+                        request.method,
+                        request.path,
+                        panic_message(&*panic)
+                    ),
+                );
+                service.respond_error(stream, &err, false);
+                return;
+            }
+        }
+    }
+}
+
+/// Read and discard up to `limit` bytes (stops on error or EOF).
+fn drain(stream: &mut impl Read, limit: usize) {
+    let mut remaining = limit;
+    let mut buf = [0u8; 8192];
+    while remaining > 0 {
+        let take = remaining.min(8192);
+        match stream.read(&mut buf[..take]) {
+            Ok(0) | Err(_) => break,
+            Ok(n) => remaining -= n,
+        }
+    }
 }
 
 /// A client-side response: status code, headers and body text.
@@ -589,6 +946,111 @@ impl ClientConn {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A toy tier on the skeleton: `/panic` panics, `/ok` answers 200.
+    struct Toy {
+        transport: Transport,
+        errors: AtomicUsize,
+    }
+
+    impl Service for Toy {
+        fn transport(&self) -> &Transport {
+            &self.transport
+        }
+
+        fn handle(
+            self: &Arc<Self>,
+            stream: &mut TcpStream,
+            request: &HttpRequest,
+            keep_alive: bool,
+        ) -> bool {
+            match (request.method.as_str(), request.path.as_str()) {
+                ("GET", "/panic") => panic!("toy handler exploded"),
+                ("GET", "/ok") => {
+                    let _ = write_response_opts(stream, 200, keep_alive, &[], "{}");
+                }
+                _ => {
+                    let err = unmatched(request, &["/ok", "/panic"], "GET /ok");
+                    self.respond_error(stream, &err, keep_alive);
+                }
+            }
+            true
+        }
+
+        fn respond_error(&self, out: &mut dyn Write, err: &ServeError, keep_alive: bool) {
+            self.errors.fetch_add(1, Ordering::SeqCst);
+            let _ = write_response_opts(out, err.http_status(), keep_alive, &[], &err.to_json());
+        }
+    }
+
+    #[test]
+    fn handler_panics_answer_500_and_release_the_slot() {
+        let toy = Arc::new(Toy {
+            transport: Transport::new(TransportConfig {
+                name: "toy",
+                max_connections: 1,
+                max_body_bytes: 64,
+                io_timeout: Duration::from_secs(5),
+                drain_message: "toy is draining",
+            }),
+            errors: AtomicUsize::new(0),
+        });
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let server = HttpServer::start(Arc::clone(&toy), listener).unwrap();
+        let addr = server.local_addr();
+        let timeout = Duration::from_secs(5);
+
+        // The one-shot client reads to EOF, which the skeleton sends only
+        // after the slot is free: each next request may reconnect at once.
+        let resp = request(addr, "GET", "/panic", None, timeout).unwrap();
+        assert_eq!(resp.status, 500, "{}", resp.body);
+        assert!(!resp.keep_alive(), "a panic closes the connection");
+        let err = ServeError::from_json(&resp.body).unwrap();
+        assert_eq!(err.kind, ServeErrorKind::Internal);
+        assert!(
+            err.message.contains("toy handler exploded"),
+            "{}",
+            err.message
+        );
+        assert_eq!(
+            request(addr, "GET", "/ok", None, timeout).unwrap().status,
+            200
+        );
+
+        // Request-level failures are the skeleton's, answered through the
+        // tier's error writer.
+        let big = "x".repeat(100);
+        let resp = request(addr, "GET", "/ok", Some(&big), timeout).unwrap();
+        assert_eq!(resp.status, 413, "{}", resp.body);
+        assert_eq!(
+            request(addr, "PUT", "/ok", None, timeout).unwrap().status,
+            405
+        );
+        assert_eq!(
+            request(addr, "GET", "/nope", None, timeout).unwrap().status,
+            404
+        );
+        assert_eq!(toy.errors.load(Ordering::SeqCst), 4);
+
+        server.shutdown(|| {});
+        assert!(toy.transport.draining());
+        assert_eq!(toy.transport.connections.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn stream_paths_parse_to_id_and_endpoint() {
+        assert_eq!(stream_path("/stream/s-1").unwrap(), ("s-1", false));
+        assert_eq!(stream_path("/stream/s-1/batch").unwrap(), ("s-1", true));
+        for bad in [
+            "/stream/",
+            "/stream//batch",
+            "/stream/a/b",
+            "/stream/a/nope",
+        ] {
+            let err = stream_path(bad).unwrap_err();
+            assert_eq!(err.kind, ServeErrorKind::NotFound, "{bad}");
+        }
+    }
 
     #[test]
     fn parses_a_post_with_body() {

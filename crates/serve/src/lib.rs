@@ -32,6 +32,15 @@
 //! `loadgen` reuse one TCP connection per backend instead of paying a
 //! connect per solve.
 //!
+//! The transport is the shared skeleton in [`http`] ([`http::HttpServer`]),
+//! the same one `ri-router` runs on: it owns accepting, the connection
+//! cap, keep-alive reads, request-level errors and shutdown, and calls
+//! this crate's route table once per request. A panic anywhere in a
+//! request's dispatch is answered with a structured `500 internal` and
+//! `Connection: close`, and the connection slot is always released; a
+//! panicking stream adapter additionally evicts its session (see
+//! [`session`]).
+//!
 //! ## The batching executor
 //!
 //! The paper's algorithms tolerate batched, out-of-order execution — the
@@ -81,7 +90,10 @@ use ri_core::engine::json::{self, Value};
 use ri_core::engine::session::{BatchRequest, StreamSpec};
 use ri_core::engine::{ExecMode, Registry, Runner};
 
-use http::{read_request_buffered, write_response_opts, ReadError};
+use http::{
+    body_text, panic_message, stream_path, unmatched, write_response_opts, HttpRequest, HttpServer,
+    Service, Transport, TransportConfig,
+};
 use session::{SessionConfig, SessionManager};
 
 /// Server tuning knobs. Every field has a serving-sensible default;
@@ -245,10 +257,8 @@ struct Shared {
     served: AtomicUsize,
     /// Requests answered with an error envelope.
     errored: AtomicUsize,
-    /// Set once shutdown begins (health reports `draining`).
-    draining: AtomicBool,
-    /// Open connection threads (shutdown waits for them briefly).
-    connections: AtomicUsize,
+    /// The server skeleton's state (draining flag, connection slots).
+    transport: Transport,
     /// The streaming session store (`/stream` endpoints).
     sessions: SessionManager,
     /// Fault-injection state (`--chaos` / `POST /admin/chaos`).
@@ -271,9 +281,7 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
 /// process-exit path for the `ri-serve` binary); `shutdown` stops
 /// accepting, drains the queue, and joins everything.
 pub struct Server {
-    shared: Arc<Shared>,
-    addr: SocketAddr,
-    acceptor: Option<JoinHandle<()>>,
+    http: HttpServer<Shared>,
     executors: Vec<JoinHandle<()>>,
 }
 
@@ -282,7 +290,6 @@ impl Server {
     /// executor threads. Returns once the listener is accepting.
     pub fn start(registry: Registry, cfg: ServeConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&cfg.addr)?;
-        let addr = listener.local_addr()?;
 
         // ONE width for this server. It comes from this config alone
         // (0 = machine default) — other servers in the same process are
@@ -296,6 +303,16 @@ impl Server {
             max_session_bytes: cfg.session_bytes,
         });
         let chaos = ChaosState::new(cfg.chaos.clone());
+        let transport = Transport::new(TransportConfig {
+            name: "ri-serve",
+            max_connections: cfg.max_connections,
+            max_body_bytes: cfg.max_body_bytes,
+            // Socket timeouts derive from the queue deadline, not a magic
+            // 10 s: a client is given at least the full deadline window
+            // to feed or drain a request before the socket gives up.
+            io_timeout: Duration::from_millis(cfg.deadline_ms.max(10_000)),
+            drain_message: "server is draining",
+        });
         let shared = Arc::new(Shared {
             registry,
             pool_width,
@@ -304,8 +321,7 @@ impl Server {
             inflight: AtomicUsize::new(0),
             served: AtomicUsize::new(0),
             errored: AtomicUsize::new(0),
-            draining: AtomicBool::new(false),
-            connections: AtomicUsize::new(0),
+            transport,
             sessions,
             chaos,
             busy_ms: AtomicU64::new(0),
@@ -313,6 +329,7 @@ impl Server {
             cfg,
         });
 
+        let http = HttpServer::start(Arc::clone(&shared), listener)?;
         let executors = {
             let rx = Arc::new(Mutex::new(rx));
             (0..shared.cfg.executors.max(1))
@@ -327,30 +344,17 @@ impl Server {
                 .collect()
         };
 
-        let acceptor = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("ri-serve-accept".into())
-                .spawn(move || acceptor_loop(&shared, listener))
-                .expect("spawning the acceptor thread")
-        };
-
-        Ok(Server {
-            shared,
-            addr,
-            acceptor: Some(acceptor),
-            executors,
-        })
+        Ok(Server { http, executors })
     }
 
     /// The bound address (resolves port 0 to the actual ephemeral port).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.http.local_addr()
     }
 
     /// The parallel width every solve is clamped to.
     pub fn pool_width(&self) -> usize {
-        self.shared.pool_width
+        self.http.service().pool_width
     }
 
     /// Install (or clear, with `""`/`"off"`) a fault-injection plan —
@@ -358,160 +362,51 @@ impl Server {
     /// schedule index, injection counters, and any emulated crash.
     pub fn set_chaos(&self, spec: &str) -> Result<(), String> {
         let plan = FaultPlan::parse(spec)?;
-        self.shared.chaos.install(plan);
+        self.http.service().chaos.install(plan);
         Ok(())
     }
 
     /// Graceful shutdown: stop accepting, answer everything already
     /// admitted (the executors drain the queue), and join all threads.
-    pub fn shutdown(mut self) {
-        self.shared.draining.store(true, Ordering::SeqCst);
-        // Late /solve arrivals now get `503 overloaded`; dropping the
-        // sole sender means the executors see disconnect — and exit —
-        // as soon as the already-queued jobs are drained and answered.
-        *lock(&self.shared.queue_tx) = None;
-        // Wake the acceptor's blocking accept with a throwaway
-        // connection (it answers a quick `503 draining` and exits). Only
-        // join if a wake attempt landed — otherwise the acceptor may
-        // still be parked in accept(), and joining would hang forever;
-        // leaving it detached is safe (it exits on the next connection).
-        let woken =
-            (0..3).any(|_| TcpStream::connect_timeout(&self.addr, Duration::from_secs(1)).is_ok());
-        if let Some(acceptor) = self.acceptor.take() {
-            if woken {
-                let _ = acceptor.join();
+    pub fn shutdown(self) {
+        let shared = Arc::clone(self.http.service());
+        let executors = self.executors;
+        self.http.shutdown(|| {
+            // Late /solve arrivals now get `503 overloaded`; dropping the
+            // sole sender means the executors see disconnect — and exit —
+            // as soon as the already-queued jobs are drained and answered.
+            *lock(&shared.queue_tx) = None;
+            for exec in executors {
+                let _ = exec.join();
             }
-        }
-        for exec in self.executors.drain(..) {
-            let _ = exec.join();
-        }
-        // Give open connection threads (e.g. a client still reading its
-        // response) a moment to finish.
-        let t0 = Instant::now();
-        while self.shared.connections.load(Ordering::SeqCst) > 0
-            && t0.elapsed() < Duration::from_secs(5)
-        {
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        });
     }
 }
 
-fn acceptor_loop(shared: &Arc<Shared>, listener: TcpListener) {
-    for stream in listener.incoming() {
-        let stream = match stream {
-            Ok(s) => s,
-            Err(_) => {
-                if shared.draining.load(Ordering::SeqCst) {
-                    break;
-                }
-                continue;
-            }
-        };
-        if shared.draining.load(Ordering::SeqCst) {
-            // Whether this is the shutdown wake-up or a real client that
-            // raced the drain flag: answer, don't drop.
-            reject_connection(shared, stream, "server is draining");
-            break;
-        }
-        // Cap handler threads: the /solve admission gate cannot protect
-        // thread/memory budgets from connections that never send a
-        // request, so the acceptor itself sheds beyond the limit.
-        if shared.connections.load(Ordering::SeqCst) >= shared.cfg.max_connections {
-            reject_connection(shared, stream, "connection limit reached; retry later");
-            continue;
-        }
-        shared.connections.fetch_add(1, Ordering::SeqCst);
-        let conn_shared = Arc::clone(shared);
-        let spawned = std::thread::Builder::new()
-            .name("ri-serve-conn".into())
-            .spawn(move || {
-                handle_connection(&conn_shared, stream);
-                conn_shared.connections.fetch_sub(1, Ordering::SeqCst);
-            });
-        if spawned.is_err() {
-            // Thread exhaustion: shed the connection instead of dying.
-            shared.connections.fetch_sub(1, Ordering::SeqCst);
-        }
+impl Service for Shared {
+    fn transport(&self) -> &Transport {
+        &self.transport
     }
-}
 
-/// Answer a connection the acceptor cannot hand to a handler thread with
-/// a quick `503` envelope (short write timeout — the acceptor must never
-/// block on a slow peer).
-fn reject_connection(shared: &Shared, mut stream: TcpStream, why: &str) {
-    let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
-    respond_error(
-        shared,
-        &mut stream,
-        &ServeError::new(ServeErrorKind::Overloaded, why),
-        false,
-    );
-}
+    fn respond_error(&self, out: &mut dyn Write, err: &ServeError, keep_alive: bool) {
+        respond_error(self, out, err, keep_alive);
+    }
 
-/// Per-connection protocol: read requests off the connection for as long
-/// as the client keeps it alive (HTTP/1.1 persistent connections; the
-/// carry buffer keeps pipelined bytes between reads), routing each and
-/// writing one JSON response per request. Errors become structured
-/// [`ServeError`] bodies — never silent connection drops — and close the
-/// connection afterwards, since framing beyond a malformed request is
-/// unknowable.
-fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
-    // Socket timeouts derive from the queue deadline, not a magic 10 s:
-    // a client is given at least the full deadline window to feed or
-    // drain a request before the socket gives up on it.
-    let io_timeout = Duration::from_millis(shared.cfg.deadline_ms.max(10_000));
-    let _ = stream.set_read_timeout(Some(io_timeout));
-    let _ = stream.set_write_timeout(Some(io_timeout));
-    let _ = stream.set_nodelay(true);
+    /// An emulated crash (in-process `crash-after`): the shard is dark —
+    /// drop each connection without a byte, exactly like a dead
+    /// process's RSTs look to the peer.
+    fn dark(&self) -> bool {
+        self.chaos.crashed.load(Ordering::SeqCst)
+    }
 
-    let mut carry = Vec::new();
-    loop {
-        // An emulated crash (in-process `crash-after`): the shard is
-        // dark — drop the connection without a byte, exactly like a dead
-        // process's RSTs look to the peer.
-        if shared.chaos.crashed.load(Ordering::SeqCst) {
-            let _ = stream.shutdown(Shutdown::Both);
-            return;
-        }
-        let request =
-            match read_request_buffered(&mut stream, &mut carry, shared.cfg.max_body_bytes) {
-                Ok(r) => r,
-                Err(e) => {
-                    let err = match e {
-                        // The client finished and closed between requests:
-                        // the normal end of a keep-alive connection.
-                        ReadError::Closed => return,
-                        ReadError::BodyTooLarge {
-                            declared,
-                            limit,
-                            buffered,
-                        } => {
-                            // Drain (bounded) what the client is still sending so
-                            // the 413 is not lost to a connection reset mid-write.
-                            // Body bytes that arrived with the head are already
-                            // consumed — re-requesting them would stall until the
-                            // read timeout.
-                            drain(&mut stream, declared.saturating_sub(buffered).min(4 << 20));
-                            ServeError::new(
-                                ServeErrorKind::BodyTooLarge,
-                                format!("body of {declared} bytes exceeds the {limit}-byte limit"),
-                            )
-                        }
-                        ReadError::BadRequest(msg) => ServeError::bad_request(msg),
-                        // A socket error mid-read (including the 10s idle
-                        // timeout on a quiet keep-alive connection) has no
-                        // client left to answer.
-                        ReadError::Io(_) => return,
-                    };
-                    respond_error(shared, &mut stream, &err, false);
-                    return;
-                }
-            };
-
-        // Honor the client's keep-alive preference, but force the final
-        // response of a draining server to close.
-        let keep_alive = request.keep_alive() && !shared.draining.load(Ordering::SeqCst);
-
+    /// The shard's route table, behind its chaos hooks.
+    fn handle(
+        self: &Arc<Self>,
+        stream: &mut TcpStream,
+        request: &HttpRequest,
+        keep_alive: bool,
+    ) -> bool {
+        let shared = self;
         // The propagated end-to-end budget (router ingress sets it,
         // decrementing per hop): clamps this request's queue deadline.
         let budget_ms = request
@@ -540,7 +435,7 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
                     std::process::exit(3);
                 }
                 let _ = stream.shutdown(Shutdown::Both);
-                return;
+                return false;
             }
             Some(FaultKind::Latency { ms }) => std::thread::sleep(Duration::from_millis(ms)),
             Some(FaultKind::Err503) => {
@@ -550,14 +445,11 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
                 );
                 respond_error(
                     shared,
-                    &mut ChaosWriter::new(&stream, None),
+                    &mut ChaosWriter::new(stream, None),
                     &err,
                     keep_alive,
                 );
-                if !keep_alive {
-                    return;
-                }
-                continue;
+                return true;
             }
             Some(f @ (FaultKind::Stall { .. } | FaultKind::DropMidResponse)) => {
                 write_fault = Some(f);
@@ -568,55 +460,31 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
         // All responses for this request flow through one chaos-aware
         // writer, so stall/drop faults apply uniformly wherever the
         // handler answers from.
-        let mut out = ChaosWriter::new(&stream, write_fault);
-        match (method, path) {
-            ("POST", "/solve") => {
-                handle_solve(shared, &mut out, &request.body, keep_alive, budget_ms)
-            }
-            ("POST", "/stream") => handle_stream_open(shared, &mut out, &request.body, keep_alive),
+        let mut out = ChaosWriter::new(stream, write_fault);
+        let body = &request.body;
+        let answer = match (method, path) {
+            ("POST", "/solve") => handle_solve(shared, body, budget_ms),
+            ("POST", "/stream") => handle_stream_open(shared, body),
             (method, path) if path.strip_prefix("/stream/").is_some_and(|r| !r.is_empty()) => {
-                handle_stream_session(shared, &mut out, method, path, &request.body, keep_alive)
+                handle_stream_session(shared, method, path, body)
             }
-            ("GET", "/healthz") => {
-                let body = health_value(shared).write();
+            ("GET", "/healthz") => Ok(health_value(shared).write()),
+            ("GET", "/problems") => Ok(problems_value(&shared.registry).write()),
+            ("POST", "/admin/chaos") => handle_chaos_admin(shared, body),
+            ("GET", "/admin/chaos") => Ok(chaos_value(shared).write()),
+            _ => Err(unmatched(
+                request,
+                &["/solve", "/stream", "/healthz", "/problems", "/admin/chaos"],
+                "POST /solve, POST /stream, GET /problems, GET /healthz",
+            )),
+        };
+        match answer {
+            Ok(body) => {
                 let _ = write_response_opts(&mut out, 200, keep_alive, &[], &body);
             }
-            ("GET", "/problems") => {
-                let body = problems_value(&shared.registry).write();
-                let _ = write_response_opts(&mut out, 200, keep_alive, &[], &body);
-            }
-            ("POST", "/admin/chaos") => {
-                handle_chaos_admin(shared, &mut out, &request.body, keep_alive)
-            }
-            ("GET", "/admin/chaos") => {
-                let body = chaos_value(shared).write();
-                let _ = write_response_opts(&mut out, 200, keep_alive, &[], &body);
-            }
-            (_, "/solve")
-            | (_, "/stream")
-            | (_, "/healthz")
-            | (_, "/problems")
-            | (_, "/admin/chaos") => {
-                let err = ServeError::new(
-                    ServeErrorKind::MethodNotAllowed,
-                    format!("{} is not supported on {}", request.method, request.path),
-                );
-                respond_error(shared, &mut out, &err, keep_alive);
-            }
-            (_, path) => {
-                let err = ServeError::new(
-                    ServeErrorKind::NotFound,
-                    format!(
-                        "no such path `{path}`; try POST /solve, POST /stream, \
-                         GET /problems, GET /healthz"
-                    ),
-                );
-                respond_error(shared, &mut out, &err, keep_alive);
-            }
+            Err(err) => respond_error(shared, &mut out, &err, keep_alive),
         }
-        if out.severed() || !keep_alive {
-            return;
-        }
+        !out.severed()
     }
 }
 
@@ -693,38 +561,21 @@ impl Write for ChaosWriter<'_> {
 /// `POST /admin/chaos`: install or clear the fault plan at runtime. The
 /// body is either `{"spec": "..."}` or a bare spec string; an empty /
 /// `"off"` spec clears. Answers with the applied plan (or `null`).
-fn handle_chaos_admin(shared: &Arc<Shared>, out: &mut impl Write, body: &[u8], keep_alive: bool) {
-    let text = match std::str::from_utf8(body) {
-        Ok(t) => t.trim(),
-        Err(_) => {
-            let err = ServeError::bad_request("request body is not UTF-8");
-            respond_error(shared, out, &err, keep_alive);
-            return;
-        }
-    };
+fn handle_chaos_admin(shared: &Shared, body: &[u8]) -> Result<String, ServeError> {
+    let text = body_text(body)?.trim();
     let spec = match json::parse(text) {
-        Ok(v) => match v.get("spec").and_then(|s| s.as_str()) {
-            Some(s) => s.to_string(),
-            None => {
-                let err = ServeError::bad_request("chaos body wants {\"spec\": \"...\"}");
-                respond_error(shared, out, &err, keep_alive);
-                return;
-            }
-        },
+        Ok(v) => v
+            .get("spec")
+            .and_then(|s| s.as_str())
+            .ok_or_else(|| ServeError::bad_request("chaos body wants {\"spec\": \"...\"}"))?
+            .to_string(),
         // Not JSON: treat the raw body as the spec itself.
         Err(_) => text.to_string(),
     };
-    match FaultPlan::parse(&spec) {
-        Ok(plan) => {
-            shared.chaos.install(plan);
-            let body = chaos_value(shared).write();
-            let _ = write_response_opts(out, 200, keep_alive, &[], &body);
-        }
-        Err(msg) => {
-            let err = ServeError::bad_request(msg);
-            respond_error(shared, out, &err, keep_alive);
-        }
-    }
+    shared
+        .chaos
+        .install(FaultPlan::parse(&spec).map_err(ServeError::bad_request)?);
+    Ok(chaos_value(shared).write())
 }
 
 /// The `/admin/chaos` document: the active plan (or `null`) plus the
@@ -767,36 +618,19 @@ fn chaos_value(shared: &Shared) -> Value {
 /// clamps the queue-wait deadline, and a budget that arrives already
 /// exhausted is answered `504` without touching the queue.
 fn handle_solve(
-    shared: &Arc<Shared>,
-    stream: &mut impl Write,
+    shared: &Shared,
     body: &[u8],
-    keep_alive: bool,
     budget_ms: Option<u64>,
-) {
-    let text = match std::str::from_utf8(body) {
-        Ok(t) => t,
-        Err(_) => {
-            let err = ServeError::bad_request("request body is not UTF-8");
-            respond_error(shared, stream, &err, keep_alive);
-            return;
-        }
-    };
+) -> Result<String, ServeError> {
+    let text = body_text(body)?;
     let deadline_ms = budget_ms.map_or(shared.cfg.deadline_ms, |b| b.min(shared.cfg.deadline_ms));
     if deadline_ms == 0 {
-        let err = ServeError::new(
+        return Err(ServeError::new(
             ServeErrorKind::DeadlineExceeded,
             "deadline budget exhausted before the request could be queued",
-        );
-        respond_error(shared, stream, &err, keep_alive);
-        return;
+        ));
     }
-    let mut request = match ServeRequest::from_json(text) {
-        Ok(r) => r,
-        Err(err) => {
-            respond_error(shared, stream, &err, keep_alive);
-            return;
-        }
-    };
+    let mut request = ServeRequest::from_json(text)?;
     // Clamp multi-threaded solves (parallel and relaxed alike) to the
     // server's width, whatever widths clients ask for. The response's
     // config echo documents the effective width.
@@ -806,16 +640,14 @@ fn handle_solve(
 
     // Admission gate: bound what is queued + executing.
     if !admit(shared) {
-        let err = ServeError::new(
+        return Err(ServeError::new(
             ServeErrorKind::Overloaded,
             format!(
                 "{} requests already in flight (limit {}); retry later",
                 shared.inflight.load(Ordering::SeqCst),
                 shared.cfg.max_inflight
             ),
-        );
-        respond_error(shared, stream, &err, keep_alive);
-        return;
+        ));
     }
 
     let (reply_tx, reply_rx) = mpsc::sync_channel(1);
@@ -837,64 +669,41 @@ fn handle_solve(
     };
     if !sent {
         shared.inflight.fetch_sub(1, Ordering::SeqCst);
-        let err = ServeError::new(ServeErrorKind::Overloaded, "server is draining");
-        respond_error(shared, stream, &err, keep_alive);
-        return;
+        return Err(ServeError::new(
+            ServeErrorKind::Overloaded,
+            "server is draining",
+        ));
     }
 
     // The executor always replies (deadline misses and panics included);
     // the generous timeout only guards against executor-thread death.
     let deadline = Duration::from_millis(deadline_ms);
-    match reply_rx.recv_timeout(deadline + Duration::from_secs(600)) {
-        Ok(Ok(response)) => {
-            shared.served.fetch_add(1, Ordering::SeqCst);
-            let _ = write_response_opts(stream, 200, keep_alive, &[], &response.to_json());
-        }
-        Ok(Err(err)) => respond_error(shared, stream, &err, keep_alive),
-        Err(_) => {
-            let err = ServeError::new(ServeErrorKind::Internal, "executor did not answer");
-            respond_error(shared, stream, &err, keep_alive);
-        }
-    }
+    let response = reply_rx
+        .recv_timeout(deadline + Duration::from_secs(600))
+        .map_err(|_| ServeError::new(ServeErrorKind::Internal, "executor did not answer"))??;
+    shared.served.fetch_add(1, Ordering::SeqCst);
+    Ok(response.to_json())
 }
 
 /// `POST /stream`: open a streaming session. Admission, duplicate-id
 /// and byte-cap checks live in the [`SessionManager`]; this handler
 /// parses, clamps the config to the server's width (like `/solve`), and
 /// answers with the session-info document.
-fn handle_stream_open(
-    shared: &Arc<Shared>,
-    stream: &mut impl Write,
-    body: &[u8],
-    keep_alive: bool,
-) {
+fn handle_stream_open(shared: &Shared, body: &[u8]) -> Result<String, ServeError> {
     // A draining server sheds state-advancing stream requests with a
     // retryable error, so a router reopens the session elsewhere instead
     // of parking new state on a shard about to disappear.
-    if shared.draining.load(Ordering::SeqCst) {
-        let err = ServeError::new(ServeErrorKind::Overloaded, "server is draining");
-        respond_error(shared, stream, &err, keep_alive);
-        return;
+    if shared.transport.draining() {
+        return Err(ServeError::new(
+            ServeErrorKind::Overloaded,
+            "server is draining",
+        ));
     }
-    let parsed = std::str::from_utf8(body)
-        .map_err(|_| ServeError::bad_request("request body is not UTF-8"))
-        .and_then(StreamSpec::from_json);
-    let mut spec = match parsed {
-        Ok(s) => s,
-        Err(err) => {
-            respond_error(shared, stream, &err, keep_alive);
-            return;
-        }
-    };
+    let mut spec = StreamSpec::from_json(body_text(body)?)?;
     if spec.config.mode != ExecMode::Sequential {
         spec.config.threads = Some(shared.pool_width);
     }
-    match shared.sessions.open(&shared.registry, spec) {
-        Ok(info) => {
-            let _ = write_response_opts(stream, 200, keep_alive, &[], &info.write());
-        }
-        Err(err) => respond_error(shared, stream, &err, keep_alive),
-    }
+    Ok(shared.sessions.open(&shared.registry, spec)?.write())
 }
 
 /// `/stream/<id>` and `/stream/<id>/batch`: feed, inspect or close one
@@ -903,59 +712,42 @@ fn handle_stream_open(
 /// scratch pools — bounded by the session store's own admission, not
 /// the one-shot solve queue.
 fn handle_stream_session(
-    shared: &Arc<Shared>,
-    stream: &mut impl Write,
+    shared: &Shared,
     method: &str,
     path: &str,
     body: &[u8],
-    keep_alive: bool,
-) {
-    let rest = path.strip_prefix("/stream/").unwrap_or_default();
-    let (id, action) = match rest.strip_suffix("/batch") {
-        Some(id) => (id, "batch"),
-        None => (rest, ""),
-    };
-    if id.is_empty() || id.contains('/') {
-        let err = ServeError::new(
-            ServeErrorKind::NotFound,
-            format!("no such path `{path}`; try /stream/<id> or /stream/<id>/batch"),
-        );
-        respond_error(shared, stream, &err, keep_alive);
-        return;
-    }
-    let outcome = match (method, action) {
+) -> Result<String, ServeError> {
+    let (id, batch) = stream_path(path)?;
+    let doc = match (method, batch) {
         // Batches advance session state, so a draining server sheds them
         // retryably (reads and closes below still work — closing frees
         // state, which is exactly what a drain wants). The batch never
         // ran, so a router can safely replay the session elsewhere.
-        ("POST", "batch") if shared.draining.load(Ordering::SeqCst) => Err(ServeError::new(
-            ServeErrorKind::Overloaded,
-            "server is draining",
-        )),
-        ("POST", "batch") => std::str::from_utf8(body)
-            .map_err(|_| ServeError::bad_request("request body is not UTF-8"))
-            .and_then(BatchRequest::from_json)
-            .and_then(|req| shared.sessions.batch(id, req.count))
-            .map(|delta| {
-                let mut members = vec![("session".to_string(), Value::Str(id.to_string()))];
-                if let Value::Obj(rest) = delta.to_value() {
-                    members.extend(rest);
-                }
-                Value::Obj(members)
-            }),
-        ("GET", "") => shared.sessions.info(id),
-        ("DELETE", "") => shared.sessions.close(id),
-        _ => Err(ServeError::new(
-            ServeErrorKind::MethodNotAllowed,
-            format!("{method} is not supported on {path}"),
-        )),
-    };
-    match outcome {
-        Ok(doc) => {
-            let _ = write_response_opts(stream, 200, keep_alive, &[], &doc.write());
+        ("POST", true) if shared.transport.draining() => {
+            return Err(ServeError::new(
+                ServeErrorKind::Overloaded,
+                "server is draining",
+            ))
         }
-        Err(err) => respond_error(shared, stream, &err, keep_alive),
-    }
+        ("POST", true) => {
+            let count = BatchRequest::from_json(body_text(body)?)?.count;
+            let delta = shared.sessions.batch(id, count)?;
+            let mut members = vec![("session".to_string(), Value::Str(id.to_string()))];
+            if let Value::Obj(rest) = delta.to_value() {
+                members.extend(rest);
+            }
+            Value::Obj(members)
+        }
+        ("GET", false) => shared.sessions.info(id)?,
+        ("DELETE", false) => shared.sessions.close(id)?,
+        _ => {
+            return Err(ServeError::new(
+                ServeErrorKind::MethodNotAllowed,
+                format!("{method} is not supported on {path}"),
+            ))
+        }
+    };
+    Ok(doc.write())
 }
 
 fn admit(shared: &Shared) -> bool {
@@ -978,7 +770,7 @@ fn admit(shared: &Shared) -> bool {
 
 /// An executor thread: drain the queue until every sender is gone (which
 /// is shutdown's drain-then-exit signal), answering each job exactly once.
-fn executor_loop(shared: &Arc<Shared>, rx: &Mutex<Receiver<Job>>) {
+fn executor_loop(shared: &Shared, rx: &Mutex<Receiver<Job>>) {
     loop {
         // Hold the receiver lock only for the dequeue itself, so the
         // other executors pick up jobs while this one solves.
@@ -1029,30 +821,10 @@ fn run_job(shared: &Shared, job: &Job) -> Result<ServeResponse, ServeError> {
             report,
         }),
         Ok(Err(registry_err)) => Err(ServeError::from(registry_err)),
-        Err(panic) => {
-            let msg = panic
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| panic.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "solve panicked".into());
-            Err(ServeError::new(
-                ServeErrorKind::Internal,
-                format!("solve panicked: {msg}"),
-            ))
-        }
-    }
-}
-
-/// Read and discard up to `limit` bytes (stops on error or EOF).
-fn drain(stream: &mut impl std::io::Read, limit: usize) {
-    let mut remaining = limit;
-    let mut buf = [0u8; 8192];
-    while remaining > 0 {
-        let take = remaining.min(8192);
-        match stream.read(&mut buf[..take]) {
-            Ok(0) | Err(_) => break,
-            Ok(n) => remaining -= n,
-        }
+        Err(panic) => Err(ServeError::new(
+            ServeErrorKind::Internal,
+            format!("solve panicked: {}", panic_message(&*panic)),
+        )),
     }
 }
 
@@ -1080,7 +852,12 @@ fn retry_after_ms(shared: &Shared) -> u64 {
 /// rejections (`503 overloaded`) carry a pressure-derived `Retry-After`
 /// (whole seconds, per HTTP) plus the millisecond-precision
 /// `X-RI-Retry-After-Ms` the router's backoff and `loadgen` honor.
-fn respond_error(shared: &Shared, stream: &mut impl Write, err: &ServeError, keep_alive: bool) {
+fn respond_error(
+    shared: &Shared,
+    stream: &mut (impl Write + ?Sized),
+    err: &ServeError,
+    keep_alive: bool,
+) {
     shared.errored.fetch_add(1, Ordering::SeqCst);
     if err.kind == ServeErrorKind::DeadlineExceeded {
         shared.deadline_expired.fetch_add(1, Ordering::SeqCst);
@@ -1107,7 +884,7 @@ fn respond_error(shared: &Shared, stream: &mut impl Write, err: &ServeError, kee
 /// session-map lock (never held across a solve or a batch), so health
 /// stays responsive under full load.
 fn health_value(shared: &Shared) -> Value {
-    let status = if shared.draining.load(Ordering::SeqCst) {
+    let status = if shared.transport.draining() {
         "draining"
     } else {
         "ok"

@@ -20,8 +20,12 @@
 //! * `max_session_bytes` — a session whose state estimate exceeds the
 //!   cap is rejected at open (it can never fit) and evicted if an
 //!   adapter outgrows the cap mid-stream.
+//! * panics — an adapter that panics in `feed` leaves its state
+//!   unknowable, so its session is evicted and the batch answered
+//!   `500 internal`.
 
 use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -31,6 +35,8 @@ use ri_core::engine::json::Value;
 use ri_core::engine::registry::ErasedIncremental;
 use ri_core::engine::session::{BatchDelta, StreamSpec};
 use ri_core::engine::Registry;
+
+use crate::http::panic_message;
 
 /// Session-store tuning knobs.
 #[derive(Debug, Clone)]
@@ -182,7 +188,9 @@ impl SessionManager {
 
     /// Feed `count` elements to session `id` on the calling thread,
     /// returning the delta. Counts the batch and rolls the batch
-    /// report's scratch reuse counters into the store-wide totals.
+    /// report's scratch reuse counters into the store-wide totals. An
+    /// adapter that panics leaves its state unknowable: the session is
+    /// evicted and the batch answered `500 internal`.
     pub fn batch(&self, id: &str, count: usize) -> Result<BatchDelta, ServeError> {
         self.sweep();
         let session = self
@@ -191,10 +199,23 @@ impl SessionManager {
             .cloned()
             .ok_or_else(|| self.no_such_session(id))?;
         let mut inner = session.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let (delta, report) = inner
-            .inc
-            .feed(count, &session.spec.config)
-            .map_err(ServeError::bad_request)?;
+        let fed = catch_unwind(AssertUnwindSafe(|| {
+            inner.inc.feed(count, &session.spec.config)
+        }));
+        let (delta, report) = match fed {
+            Ok(fed) => fed.map_err(ServeError::bad_request)?,
+            Err(panic) => {
+                drop(inner);
+                self.evict(&session);
+                return Err(ServeError::new(
+                    ServeErrorKind::Internal,
+                    format!(
+                        "session `{id}` evicted: its adapter panicked: {}",
+                        panic_message(&*panic)
+                    ),
+                ));
+            }
+        };
         inner.batches += 1;
         inner.last_used = Instant::now();
         self.batches.fetch_add(1, Ordering::SeqCst);
@@ -207,10 +228,22 @@ impl SessionManager {
             // (the work is done) but evict the session so the next batch
             // reopens elsewhere.
             drop(inner);
-            self.lock_sessions().remove(&session.id);
-            self.evicted.fetch_add(1, Ordering::SeqCst);
+            self.evict(&session);
         }
         Ok(delta)
+    }
+
+    /// Remove `session` from the store and count the eviction, unless it
+    /// is already gone (closed or swept meanwhile).
+    fn evict(&self, session: &Arc<Session>) {
+        let mut sessions = self.lock_sessions();
+        if sessions
+            .get(&session.id)
+            .is_some_and(|s| Arc::ptr_eq(s, session))
+        {
+            sessions.remove(&session.id);
+            self.evicted.fetch_add(1, Ordering::SeqCst);
+        }
     }
 
     /// The info document for session `id`.

@@ -1,14 +1,18 @@
 //! End-to-end streaming tests: boot `ri-serve` in-process and drive the
 //! `/stream` lifecycle over real TCP — open / batch / inspect / close,
 //! final-answer equality with one-shot `/solve`, admission and TTL
-//! eviction, health counters, and structured errors.
+//! eviction, health counters, structured errors, and panic isolation.
 
 use std::time::Duration;
 
 use parallel_ri::registry;
 use ri_core::engine::json::{self, Value};
+use ri_core::engine::registry::{ErasedIncremental, ErasedProblem, OutputSummary};
 use ri_core::engine::session::BatchDelta;
-use ri_core::engine::{RunConfig, ServeRequest, ServeResponse, WorkloadSpec};
+use ri_core::engine::{
+    Registry, RunConfig, RunReport, ServeError, ServeErrorKind, ServeRequest, ServeResponse,
+    WorkloadSpec,
+};
 use ri_serve::http;
 use ri_serve::{ServeConfig, Server};
 
@@ -205,5 +209,95 @@ fn stream_errors_are_structured() {
         404,
         "sub-paths other than /batch do not exist"
     );
+    server.shutdown();
+}
+
+/// A stream adapter that panics in `feed`.
+struct PanickingAdapter;
+
+impl ErasedIncremental for PanickingAdapter {
+    fn name(&self) -> &str {
+        "boom"
+    }
+    fn capacity(&self) -> usize {
+        8
+    }
+    fn absorbed(&self) -> usize {
+        0
+    }
+    fn native(&self) -> bool {
+        true
+    }
+    fn approx_bytes(&self) -> usize {
+        64
+    }
+    fn feed(&mut self, _count: usize, _cfg: &RunConfig) -> Result<(BatchDelta, RunReport), String> {
+        panic!("adapter exploded mid-batch");
+    }
+}
+
+/// A panicking adapter costs its own session, never the shard: the batch
+/// is answered `500 internal`, the session is evicted, and the only
+/// connection slot comes back. A panic the session store does not catch
+/// (here: in the adapter's constructor) is answered `500` by the server
+/// skeleton, with the slot likewise released.
+#[test]
+fn panicking_adapter_evicts_its_session_with_a_500() {
+    struct Stub;
+    impl ErasedProblem for Stub {
+        fn name(&self) -> &str {
+            "boom"
+        }
+        fn solve_erased(&self, _cfg: &RunConfig) -> (OutputSummary, RunReport) {
+            (OutputSummary::new(), RunReport::new("boom"))
+        }
+    }
+    let mut reg = Registry::new();
+    reg.register("boom", "panics when streamed", |_| Ok(Box::new(Stub)));
+    reg.register_incremental("boom", |spec| {
+        assert!(spec.seed != 666, "constructor exploded");
+        Ok(Box::new(PanickingAdapter))
+    });
+    let server = Server::start(
+        reg,
+        ServeConfig {
+            max_connections: 1,
+            ..ServeConfig::default()
+        },
+    )
+    .expect("server starts");
+    let internal = |resp: &http::HttpResponse| {
+        assert_eq!(resp.status, 500, "{}", resp.body);
+        let err = ServeError::from_json(&resp.body).expect("structured 500");
+        assert_eq!(err.kind, ServeErrorKind::Internal);
+        assert!(!err.retryable);
+    };
+
+    let opened = request(
+        &server,
+        "POST",
+        "/stream",
+        Some(r#"{"session_id":"b1","problem":"boom","workload":{"n":8,"seed":1}}"#),
+    );
+    assert_eq!(opened.status, 200, "{}", opened.body);
+
+    let batch = request(&server, "POST", "/stream/b1/batch", Some(r#"{"count":4}"#));
+    internal(&batch);
+    assert!(batch.body.contains("adapter exploded"), "{}", batch.body);
+    assert_eq!(request(&server, "GET", "/stream/b1", None).status, 404);
+    assert_eq!(request(&server, "GET", "/healthz", None).status, 200);
+    assert_eq!(health_num(&server, "sessions_evicted"), 1.0);
+    assert_eq!(health_num(&server, "sessions_open"), 0.0);
+
+    let open_panics = request(
+        &server,
+        "POST",
+        "/stream",
+        Some(r#"{"problem":"boom","workload":{"n":8,"seed":666}}"#),
+    );
+    internal(&open_panics);
+    assert!(open_panics.body.contains("constructor exploded"));
+    assert_eq!(open_panics.header("connection"), Some("close"));
+    assert_eq!(request(&server, "GET", "/healthz", None).status, 200);
     server.shutdown();
 }
